@@ -8,7 +8,6 @@ Mixed-sort arithmetic is rejected rather than coerced.
 
 import argparse
 import json
-import random
 import sys
 
 from . import hfset, linorder, numtower, ordinal, surreal, syntax, wforder
@@ -26,7 +25,7 @@ class NumberSet:
         self.values = frozenset(values)
 
     def __str__(self):
-        return "{" + ",".join(str(v) for v in sorted(self.values, key=lambda f: (f.num / f.den, f.den))) + "}"
+        return "{" + ",".join(str(v) for v in sorted(self.values)) + "}"
 
 
 def _as_ordinal(v):
@@ -251,6 +250,21 @@ def _split_args(text):
     return parts
 
 
+def _parse_int(tok, usage):
+    try:
+        return int(tok)
+    except ValueError as exc:
+        raise EvalError(f"{usage}: {tok!r} is not an integer") from exc
+
+
+def _read_text(path):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise EvalError(f"cannot read {path}: {exc}") from exc
+
+
 def _parse_binstring(tok):
     if tok == "_":
         return ""
@@ -304,7 +318,7 @@ class Session:
         if name == "bnf":
             if len(args) != 1:
                 raise EvalError("usage: :bnf N")
-            n = int(args[0])
+            n = _parse_int(args[0], "usage: :bnf N")
             m = linorder.back_and_forth(linorder.binstring_side(), linorder.dyadic_side(), n)
             return {k if k else '""': v for k, v in m.items()}
         if name == "cutclass":
@@ -312,21 +326,19 @@ class Session:
         if name == "collapse":
             if len(args) != 1:
                 raise EvalError("usage: :collapse GRAPHFILE")
-            with open(args[0], encoding="utf-8") as fh:
-                g = wforder.digraph_from_edge_text(fh.read())
+            g = wforder.digraph_from_edge_text(_read_text(args[0]))
             image, is_iso = wforder.mostowski(g)
             return {k: image[k] for k in sorted(image, key=str)} | {"extensional": is_iso}
         if name == "cbs":
             if len(args) != 1:
                 raise EvalError("usage: :cbs MAPFILE")
-            with open(args[0], encoding="utf-8") as fh:
-                payload = json.load(fh)
+            payload = json.loads(_read_text(args[0]))
             return wforder.cbs_bijection(payload["f"], payload["g"])
         raise EvalError(f"unknown command {name!r}")
 
     def _cutclass(self, args):
         if len(args) == 2 and args[0] == "sqrt":
-            return linorder.classify_cut(linorder.SqrtThreshold(int(args[1])))
+            return linorder.classify_cut(linorder.SqrtThreshold(_parse_int(args[1], "usage: :cutclass sqrt N")))
         if len(args) == 2 and args[0] in ("left", "right"):
             q = numtower.parse_frac(args[1])
             spec = linorder.AtRationalLeftClosed(q) if args[0] == "left" else linorder.AtRationalRightClosed(q)
@@ -411,14 +423,8 @@ def main(argv=None):
     )
     parser.add_argument("--batch", metavar="FILE", help="evaluate FILE line by line and exit")
     parser.add_argument("--keep-going", action="store_true", help="in batch mode, continue past errors")
-    parser.add_argument("--max-elements", type=int, metavar="N", help="element budget for power/hull operations")
-    parser.add_argument("--seed", type=int, metavar="N", help="seed the process RNG for reproducibility")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     args = parser.parse_args(argv)
-    if args.seed is not None:
-        random.seed(args.seed)
-    if args.max_elements is not None:
-        hfset.DEFAULT_MAX_ELEMENTS = args.max_elements
     if args.batch:
         return run_batch(args.batch, keep_going=args.keep_going, fmt=args.format)
     return repl()

@@ -1,15 +1,27 @@
 """Hereditarily finite sets in canonical form.
 
-An HFSet stores its elements as a tuple sorted in ascending Ackermann-code
-order with no duplicates, so structural equality coincides with
-extensional equality and the code order is a total order on all values.
+Every HFSet is hash-consed: the constructor returns the one live node for
+its set of elements, so there is exactly one node per set.  Equality and
+hashing are by identity, and by extensionality two sets are equal exactly
+when they are the same node.  A node keeps its elements as a tuple in
+ascending Ackermann-code order and stores its membership rank, which is
+the rank of its largest element plus one.
+
 Codes are never materialized for comparison (they grow as iterated powers
-of two); the order is computed by comparing element lists largest-first.
+of two).  The order compares ranks first: the sets of rank < r are exactly
+the elements of V_r, whose codes are 0 ... |V_r| - 1, so a lower rank
+means a lower code.  Sets of equal rank compare like their element lists
+read largest-first.
+
+The intern table maps element tuples to weak references and never keeps a
+node alive; a node removes its own entry when it dies.  The table is not
+locked, so build sets from one thread at a time.
 """
 
+import weakref
 from functools import cmp_to_key
 
-from .errors import BudgetError, PreconditionError
+from .errors import BudgetError, ParseError, PreconditionError
 
 DEFAULT_MAX_ELEMENTS = 10 ** 6
 
@@ -17,45 +29,58 @@ DEFAULT_MAX_ELEMENTS = 10 ** 6
 def _cmp(a, b):
     # Ackermann-code order: code(x) = sum(2**code(e) for e in x), so two
     # codes compare like their exponent sets read from the largest down.
-    if a is b:
-        return 0
-    xs = a._elems
-    ys = b._elems
-    i = len(xs) - 1
-    j = len(ys) - 1
-    while i >= 0 and j >= 0:
-        c = _cmp(xs[i], ys[j])
-        if c:
-            return c
-        i -= 1
-        j -= 1
-    if i >= 0:
-        return 1
-    if j >= 0:
-        return -1
+    # The first pair of elements that are different nodes decides, so the
+    # comparison moves down to that pair instead of recursing.
+    while a is not b:
+        if a._rank != b._rank:
+            return -1 if a._rank < b._rank else 1
+        for x, y in zip(reversed(a._elems), reversed(b._elems)):
+            if x is not y:
+                a, b = x, y
+                break
+        else:
+            return -1 if len(a._elems) < len(b._elems) else 1
     return 0
 
 
 _SORT_KEY = cmp_to_key(_cmp)
 
+# element tuple -> weak reference to the node for that set
+_INTERN = {}
+
 
 class HFSet:
     """A canonical hereditarily finite set (an element of V_omega)."""
 
-    __slots__ = ("_elems", "_hash")
+    __slots__ = ("_elems", "_rank", "__weakref__")
 
-    def __init__(self, elements=()):
-        elems = list(elements)
+    def __new__(cls, elements=()):
+        elems = dict.fromkeys(elements)
         for e in elems:
             if not isinstance(e, HFSet):
                 raise TypeError(f"HFSet elements must be HFSet, got {type(e).__name__}")
-        elems.sort(key=_SORT_KEY)
-        dedup = []
-        for e in elems:
-            if not dedup or _cmp(dedup[-1], e) != 0:
-                dedup.append(e)
-        self._elems = tuple(dedup)
-        self._hash = hash(self._elems)
+        elems = tuple(sorted(elems, key=_SORT_KEY))
+        ref = _INTERN.get(elems)
+        node = None if ref is None else ref()
+        if node is None:
+            node = object.__new__(cls)
+            node._elems = elems
+            node._rank = elems[-1]._rank + 1 if elems else 0
+            _INTERN[elems] = weakref.ref(node)
+        return node
+
+    def __del__(self, _intern=_INTERN):
+        # On the last decref CPython runs this before it clears weak
+        # references, and the cycle collector runs it after, so the entry
+        # then reads self or None.  A live other node was built after this
+        # one's reference was cleared and keeps its entry.
+        ref = _intern.get(self._elems)
+        if ref is not None and ref() in (self, None):
+            del _intern[self._elems]
+
+    def __reduce__(self):
+        # without this, pickle and copy would fill in the interned empty set
+        return (HFSet, (self._elems,))
 
     @property
     def elements(self):
@@ -72,26 +97,11 @@ class HFSet:
         lo, hi = 0, len(elems)
         while lo < hi:
             mid = (lo + hi) // 2
-            c = _cmp(elems[mid], x)
-            if c == 0:
-                return True
-            if c < 0:
+            if _cmp(elems[mid], x) < 0:
                 lo = mid + 1
             else:
                 hi = mid
-        return False
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        if not isinstance(other, HFSet):
-            return NotImplemented
-        return self._hash == other._hash and self._elems == other._elems
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
+        return lo < len(elems) and elems[lo] is x
 
     def __lt__(self, other):
         return _cmp(self, other) < 0
@@ -165,9 +175,7 @@ def kpair_split(z):
             continue
         x = s._elems[0]
         if len(p) == 2 and x in p:
-            other = p._elems[0] if p._elems[1] == x else p._elems[1]
-            if other != x:
-                return (x, other)
+            return (x, p._elems[0] if p._elems[1] is x else p._elems[1])
     return None
 
 
@@ -248,18 +256,7 @@ def nat_of(x):
 
 def rank_in(x):
     """Membership rank: rank(x) = sup{rank(y)+1 : y in x}."""
-    memo = {}
-
-    def rec(s):
-        r = memo.get(s)
-        if r is None:
-            r = 0
-            for e in s._elems:
-                r = max(r, rec(e) + 1)
-            memo[s] = r
-        return r
-
-    return rec(x)
+    return x._rank
 
 
 V_STAGE_CAP = 4
@@ -493,8 +490,6 @@ def ackermann_decode(n):
 
 def parse_set(text):
     """Parse the brace syntax, e.g. '{{},{{}}}'. Whitespace is ignored."""
-    from .errors import ParseError
-
     s = "".join(text.split())
     pos = 0
 

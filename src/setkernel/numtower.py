@@ -136,14 +136,15 @@ def q_cmp(a, b):
 
 
 def parse_frac(text):
-    text = text.strip()
-    if "/" in text:
-        num_s, den_s = text.split("/", 1)
-        den = int(den_s)
-        if den <= 0:
-            raise PreconditionError(f"denominator must be positive, got {den}")
-        return Frac(int(num_s), den)
-    return Frac(int(text))
+    num_s, slash, den_s = text.strip().partition("/")
+    try:
+        num = int(num_s)
+        den = int(den_s) if slash else 1
+    except ValueError as exc:
+        raise PreconditionError(f"malformed fraction literal {text!r}") from exc
+    if den <= 0:
+        raise PreconditionError(f"denominator must be positive, got {den}")
+    return Frac(num, den)
 
 
 def z_encode(n):

@@ -94,15 +94,15 @@ ONE = Dyadic(1)
 
 def parse_dyadic(text):
     """Parse 'm', 'm/2^k literals' such as '3/4' or '-5/8'."""
-    text = text.strip()
-    if "/" in text:
-        num_s, den_s = text.split("/", 1)
+    num_s, slash, den_s = text.strip().partition("/")
+    try:
         num = int(num_s)
-        den = int(den_s)
-        if den <= 0 or den & (den - 1):
-            raise PreconditionError(f"denominator {den} is not a power of two")
-        return Dyadic(num, den.bit_length() - 1)
-    return Dyadic(int(text))
+        den = int(den_s) if slash else 1
+    except ValueError as exc:
+        raise PreconditionError(f"malformed dyadic literal {text!r}") from exc
+    if den <= 0 or den & (den - 1):
+        raise PreconditionError(f"denominator {den} is not a power of two")
+    return Dyadic(num, den.bit_length() - 1)
 
 
 def birthday(x):
@@ -112,70 +112,22 @@ def birthday(x):
     return (abs(x.num) >> x.k) + 1 + x.k
 
 
-def _simplest_above(lo):
-    # least-birthday dyadic strictly greater than lo
-    if lo.num < 0:
-        return ZERO
-    n = lo.num >> lo.k  # floor, lo >= 0
-    return Dyadic(n + 1)
-
-
 def simplest(a, b):
     """The unique earliest-born dyadic strictly between the sets a and b."""
-    a = list(a)
-    b = list(b)
-    lo = max(a) if a else None
-    hi = min(b) if b else None
+    lo = max(a, default=None)
+    hi = min(b, default=None)
     if lo is not None and hi is not None and not lo < hi:
         raise PreconditionError(f"option sets must satisfy max(a) < min(b), got {lo} >= {hi}")
-    if lo is None and hi is None:
-        return ZERO
-    if hi is None:
-        return _simplest_above(lo)
-    if lo is None:
-        return -_simplest_above(-hi)
-    if lo.num < 0 and hi.num > 0:
-        return ZERO
-    if lo.num >= 0:
-        n = (lo.num >> lo.k) + 1
-        if Dyadic(n) < hi:
-            return Dyadic(n)
-    else:
-        n = -((-hi.num) >> hi.k) - 1
-        if lo < Dyadic(n):
-            return Dyadic(n)
-    # no integer fits: bisect down the dyadic tree from the enclosing
-    # unit interval; the first midpoint inside (lo, hi) is the answer
-    ln, lk = lo.num, lo.k
-    hn, hk = hi.num, hi.k
-    fn = ln >> lk  # floor(lo); the open interval sits inside [fn, fn+1]
-    an, ak = fn, 0
-    bn, bk = fn + 1, 0
-    while True:
-        s = max(ak, bk)
-        mn = (an << (s - ak)) + (bn << (s - bk))
-        k = s + 1
-        t = max(k, lk)
-        if (mn << (t - k)) <= (ln << (t - lk)):
-            an, ak = mn, k
-            continue
-        t = max(k, hk)
-        if (mn << (t - k)) >= (hn << (t - hk)):
-            bn, bk = mn, k
-            continue
-        return Dyadic(mn, k)
+    return Dyadic(*_simplest2(_pack(lo), _pack(hi)))
 
 
 def options(x):
     """Canonical minimal options; simplest(*options(x)) == x."""
-    if x.k == 0:
-        if x.num == 0:
-            return (frozenset(), frozenset())
-        if x.num > 0:
-            return (frozenset((Dyadic(x.num - 1),)), frozenset())
-        return (frozenset(), frozenset((Dyadic(x.num + 1),)))
-    step = Dyadic(1, x.k)
-    return (frozenset((x - step,)), frozenset((x + step,)))
+    return tuple(frozenset(() if o is None else (Dyadic(*o),)) for o in _options2((x.num, x.k)))
+
+
+def _pack(x):
+    return None if x is None else (x.num, x.k)
 
 
 _NEG_CACHE = {}

@@ -124,6 +124,35 @@ def test_file_commands(tmp_path):
     assert s.run_line(f":cbs {maps}") == {"0": "a"}
 
 
+@pytest.mark.parametrize(
+    "line, shown",
+    [
+        ("{10^400}", "{1" + "0" * 400 + "}"),
+        # each pair rounds to a single float
+        ("{100000000000000000001,100000000000000000000}", "{100000000000000000000,100000000000000000001}"),
+        ("{100000000000000000002,100000000000000000001}", "{100000000000000000001,100000000000000000002}"),
+    ],
+    ids=["beyond-float-range", "float-tie-a", "float-tie-b"],
+)
+def test_number_sets_render_in_exact_order(line, shown):
+    assert render(Session().run_line(line)) == shown
+
+
+def test_bnf_rejects_non_integer():
+    with pytest.raises(EvalError):
+        Session().run_line(":bnf x")
+
+
+def test_collapse_missing_file(tmp_path):
+    with pytest.raises(EvalError):
+        Session().run_line(f":collapse {tmp_path / 'missing.txt'}")
+
+
+def test_cbs_missing_file(tmp_path):
+    with pytest.raises(EvalError):
+        Session().run_line(f":cbs {tmp_path / 'missing.json'}")
+
+
 def test_roundtrip_fuzz_parse_print():
     rng = random.Random(151)
     e = Evaluator()
@@ -203,5 +232,3 @@ def test_main_batch(tmp_path, capsys):
     src.write_text("w*2\n")
     assert cli.main(["--batch", str(src)]) == 0
     assert capsys.readouterr().out == "w*2\tw*2\n"
-    assert cli.main(["--batch", str(src), "--seed", "7", "--max-elements", "1000"]) == 0
-    capsys.readouterr()

@@ -1,9 +1,15 @@
+import copy
+import gc
 import itertools
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from setkernel import hfset
+from setkernel import hfset, numtower, wforder
 from setkernel.errors import BudgetError, ParseError, PreconditionError
 from setkernel.hfset import (
     GoedelTree,
@@ -275,6 +281,20 @@ def test_canonical_order_is_code_order():
         y = rand_hfset(rng, 4)
         assert (x < y) == (ackermann_encode(x) < ackermann_encode(y))
         assert (x == y) == (ackermann_encode(x) == ackermann_encode(y))
+    universe = all_sets_of_rank_at_most(3)
+    for x, y in itertools.product(universe, repeat=2):
+        assert (x < y) == (ackermann_encode(x) < ackermann_encode(y))
+        assert (x == y) == (ackermann_encode(x) == ackermann_encode(y))
+    # equal ranks are where the order must look past the rank
+    same_rank = 0
+    while same_rank < 80:
+        x = rand_hfset(rng, 4)
+        y = rand_hfset(rng, 4)
+        if rank_in(x) != rank_in(y):
+            continue
+        same_rank += 1
+        assert (x < y) == (ackermann_encode(x) < ackermann_encode(y))
+        assert (x == y) == (ackermann_encode(x) == ackermann_encode(y))
 
 
 def test_element_order_ascending():
@@ -298,3 +318,87 @@ def test_parse_and_print():
         parse_set("{,}")
     with pytest.raises(ParseError):
         parse_set("{}{}")
+
+
+def _singleton_chain(depth):
+    x = E
+    for _ in range(depth):
+        x = singleton(x)
+    return x
+
+
+def test_equal_sets_are_one_node():
+    for n in range(12):
+        nodes = [f"c{i}" for i in range(n + 2)]
+        chain = wforder.FinDigraph(nodes, [(a, b) for i, a in enumerate(nodes) for b in nodes[i + 1:]])
+        image, _ = wforder.mostowski(chain)
+        v = vn_nat(n)
+        assert vn_nat(n) is v
+        assert image[f"c{n}"] is v
+        assert numtower.z_encode(n) is v
+        assert parse_set(str(v)) is v
+    assert parse_set("{{{}},{}}") is pair(E, ONE)
+
+
+def test_deep_chains_at_default_recursion_limit():
+    depth = 5000
+    assert depth > sys.getrecursionlimit()
+    x = _singleton_chain(depth)
+    y = _singleton_chain(depth)
+    assert (x == y) is True
+    assert (x < y) is False
+    assert rank_in(x) == depth
+    assert _singleton_chain(depth - 1) < x
+
+
+def test_intern_table_keeps_no_node_alive():
+    gc.collect()
+    before = len(hfset._INTERN)
+    xs = [HFSet([vn_nat(i), singleton(vn_nat(i + 3)), pair(ONE, vn_nat(i + 5))]) for i in range(20)]
+    assert len(hfset._INTERN) > before
+    del xs
+    assert len(hfset._INTERN) == before
+
+    # a set that only a reference cycle holds goes when the collector runs
+    cycle = [_singleton_chain(60), HFSet([vn_nat(6), pair(ONE, vn_nat(9))])]
+    cycle.append(cycle)
+    del cycle
+    gc.collect()
+    assert len(hfset._INTERN) == before
+
+
+def test_dying_node_keeps_a_newer_entry():
+    x = HFSet([vn_nat(4), singleton(vn_nat(7))])
+    stale = object.__new__(HFSet)
+    stale._elems = x._elems
+    stale._rank = x._rank
+    stale.__del__()
+    del stale
+    assert hfset._INTERN[x._elems]() is x
+    assert HFSet(x._elems) is x
+
+
+def test_pickle_and_copy_return_the_same_node():
+    for x in (E, TWO, kpair(TWO, singleton(ONE)), _singleton_chain(50)):
+        assert pickle.loads(pickle.dumps(x)) is x
+        assert copy.copy(x) is x
+        assert copy.deepcopy(x) is x
+    assert len(E) == 0
+
+
+def test_interpreter_exit_is_silent():
+    src = str(Path(hfset.__file__).resolve().parents[1])
+    # os is wiped after hfset at shutdown, so its set dies after the hfset
+    # globals are gone but while stderr still reports errors
+    code = (
+        "import os\n"
+        "from setkernel import hfset\n"
+        "os.keep = [hfset, hfset.vn_nat(30)]\n"
+        "keep = [hfset.vn_nat(31), hfset.parse_set('{{},{{{}}}}')]\n"
+        "cycle = [hfset.vn_nat(12)]\n"
+        "cycle.append(cycle)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": src}, capture_output=True, text=True,
+                         timeout=60)
+    assert out.returncode == 0
+    assert out.stdout == out.stderr == ""

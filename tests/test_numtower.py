@@ -146,3 +146,8 @@ def test_parse_frac():
     assert parse_frac(" 2/4 ") == Frac(1, 2)
     with pytest.raises(PreconditionError):
         parse_frac("1/-2")
+
+
+def test_parse_frac_rejects_malformed_literal():
+    with pytest.raises(PreconditionError):
+        parse_frac("1/2/3")

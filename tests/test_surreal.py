@@ -174,3 +174,8 @@ def test_parse_dyadic():
     assert parse_dyadic("7") == D(7)
     with pytest.raises(PreconditionError):
         parse_dyadic("1/3")
+
+
+def test_parse_dyadic_rejects_malformed_literal():
+    with pytest.raises(PreconditionError):
+        parse_dyadic("7/4/3")
