@@ -157,6 +157,14 @@ def _cmd_cnf(a):
     return _as_ordinal(a)
 
 
+def _call(name, values):
+    """Apply the value command `name`; a wrong argument count is an EvalError."""
+    try:
+        return _VALUE_COMMANDS[name](*values)
+    except TypeError as exc:
+        raise EvalError(f"{name}: {exc}") from exc
+
+
 class Evaluator:
     def __init__(self):
         self.env = {}
@@ -169,7 +177,15 @@ class Evaluator:
         if isinstance(node, syntax.WSym):
             return ordinal.OMEGA
         if isinstance(node, syntax.Bin):
-            return _apply_bin(node.op, self.eval_node(node.left), self.eval_node(node.right))
+            # a loop over the left spine: '1 + 1 + ...' nests as deep as it is long
+            spine = []
+            while isinstance(node, syntax.Bin):
+                spine.append(node)
+                node = node.left
+            value = self.eval_node(node)
+            for b in reversed(spine):
+                value = _apply_bin(b.op, value, self.eval_node(b.right))
+            return value
         if isinstance(node, syntax.SetLit):
             return self._eval_setlit(node)
         if isinstance(node, syntax.Var):
@@ -177,14 +193,9 @@ class Evaluator:
                 return self.env[node.name]
             raise EvalError(f"unbound name {node.name!r}")
         if isinstance(node, syntax.Call):
-            fn = _VALUE_COMMANDS.get(node.name)
-            if fn is None:
+            if node.name not in _VALUE_COMMANDS:
                 raise EvalError(f"unknown command {node.name!r}")
-            args = [self.eval_node(a) for a in node.args]
-            try:
-                return fn(*args)
-            except TypeError as exc:
-                raise EvalError(f"{node.name}: {exc}") from exc
+            return _call(node.name, [self.eval_node(a) for a in node.args])
         if isinstance(node, syntax.Let):
             value = self.eval_node(node.expr)
             self.env[node.name] = value
@@ -299,13 +310,8 @@ class Session:
         if not parts:
             raise EvalError("empty command")
         name, args = parts[0], parts[1:]
-        fn = _VALUE_COMMANDS.get(name)
-        if fn is not None:
-            values = [self.evaluator.eval_text(a) for a in args]
-            try:
-                return fn(*values)
-            except TypeError as exc:
-                raise EvalError(f"{name}: {exc}") from exc
+        if name in _VALUE_COMMANDS:
+            return _call(name, [self.evaluator.eval_text(a) for a in args])
         if name == "ucmp":
             if len(args) != 2:
                 raise EvalError("usage: :ucmp STRING STRING")
@@ -332,8 +338,14 @@ class Session:
         if name == "cbs":
             if len(args) != 1:
                 raise EvalError("usage: :cbs MAPFILE")
-            payload = json.loads(_read_text(args[0]))
-            return wforder.cbs_bijection(payload["f"], payload["g"])
+            try:
+                payload = json.loads(_read_text(args[0]))
+            except (ValueError, RecursionError) as exc:
+                raise EvalError(f"{args[0]} is not JSON: {exc}") from exc
+            maps = [payload.get(k) if isinstance(payload, dict) else None for k in ("f", "g")]
+            if not all(isinstance(m, dict) and all(isinstance(v, str) for v in m.values()) for m in maps):
+                raise EvalError(f"{args[0]} needs the keys \"f\" and \"g\", each an object of strings")
+            return wforder.cbs_bijection(*maps)
         raise EvalError(f"unknown command {name!r}")
 
     def _cutclass(self, args):
@@ -344,6 +356,18 @@ class Session:
             spec = linorder.AtRationalLeftClosed(q) if args[0] == "left" else linorder.AtRationalRightClosed(q)
             return linorder.classify_cut(spec)
         raise EvalError("usage: :cutclass sqrt N | :cutclass left Q | :cutclass right Q")
+
+    def outcome(self, line):
+        """Run and render one line: (0, text), (1, eval error) or (2, syntax error).
+
+        The code is the line's exit status; this is the CLI's error contract.
+        """
+        try:
+            return 0, render(self.run_line(line))
+        except ParseError as exc:
+            return 2, str(exc)
+        except (KernelError, ZeroDivisionError) as exc:
+            return 1, str(exc)
 
 
 def run_batch(path, keep_going=False, fmt="text", out=None):
@@ -359,34 +383,28 @@ def run_batch(path, keep_going=False, fmt="text", out=None):
     for line in lines:
         if not line.strip():
             continue
-        try:
-            value = session.run_line(line)
-        except ParseError as exc:
-            worst = 2
-            _emit(out, fmt, line, error=str(exc), kind="syntax")
-            if not keep_going:
-                return 2
-        except (KernelError, ZeroDivisionError) as exc:
-            worst = max(worst, 1)
-            _emit(out, fmt, line, error=str(exc), kind="eval")
-            if not keep_going:
-                return 1
-        else:
-            _emit(out, fmt, line, value=render(value))
+        code, text = session.outcome(line)
+        _emit(out, fmt, line, code, text)
+        worst = max(worst, code)
+        if code and not keep_going:
+            return code
     return worst
 
 
-def _emit(out, fmt, line, value=None, error=None, kind=None):
+_KIND = {1: "eval", 2: "syntax"}
+
+
+def _emit(out, fmt, line, code, text):
     if fmt == "json":
         payload = {"input": line}
-        if error is None:
-            payload["output"] = value
+        if code:
+            payload["error"] = text
+            payload["kind"] = _KIND[code]
         else:
-            payload["error"] = error
-            payload["kind"] = kind
+            payload["output"] = text
         out.write(json.dumps(payload, sort_keys=True) + "\n")
     else:
-        out.write(f"{line}\t{value if error is None else '!' + kind + ' error: ' + error}\n")
+        out.write(f"{line}\t{'!' + _KIND[code] + ' error: ' + text if code else text}\n")
 
 
 def repl(stdin=None, stdout=None):
@@ -406,14 +424,9 @@ def repl(stdin=None, stdout=None):
             continue
         if line in (":q", ":quit", ":exit"):
             return 0
-        try:
-            value = session.run_line(line)
-        except ParseError as exc:
-            stdout.write(f"syntax error: {exc}\n")
-        except (KernelError, ZeroDivisionError) as exc:
-            stdout.write(f"error: {exc}\n")
-        else:
-            stdout.write(render(value) + "\n")
+        code, text = session.outcome(line)
+        prefix = ("", "error: ", "syntax error: ")[code]
+        stdout.write(prefix + text + "\n")
 
 
 def main(argv=None):

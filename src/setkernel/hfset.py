@@ -132,13 +132,29 @@ class HFSet:
         return all(e.issubset(self) for e in self._elems)
 
     def __str__(self):
-        return "{" + ",".join(str(e) for e in self._elems) + "}"
+        text = {}
+        for s in _bottom_up(self):
+            text[s] = "{" + ",".join([text[e] for e in s._elems]) + "}"
+        return text[self]
 
     def __repr__(self):
         return f"HFSet({self})"
 
 
 _EMPTY = HFSet()
+
+
+def _bottom_up(x):
+    """x and every node below it, once each, every set after its elements."""
+    seen = {x}
+    nodes = [x]
+    for s in nodes:
+        for e in s._elems:
+            if e not in seen:
+                seen.add(e)
+                nodes.append(e)
+    nodes.sort(key=lambda s: s._rank)
+    return nodes
 
 
 def empty():
@@ -224,13 +240,8 @@ def power(x, max_elements=None):
 
 
 def tc(x):
-    """Transitive closure: the fixpoint of y -> y | union(y) starting at x."""
-    cur = x
-    while True:
-        nxt = cur | union(cur)
-        if nxt == cur:
-            return cur
-        cur = nxt
+    """Transitive closure: every node below x (the fixpoint of y -> y | union(y))."""
+    return HFSet(_bottom_up(x)[:-1])
 
 
 def vn_nat(n):
@@ -450,20 +461,23 @@ def cantor_diagonal(f, x):
     return HFSet(z for z in x if z not in f[z])
 
 
+# Every set of rank <= 5 has a code below |V_6| = 2^65536; a larger code
+# is refused before its shift is attempted.
+ENCODE_MAX_BITS = 1 << 16
+
+
 def ackermann_encode(x):
     """The code sum(2**code(e) for e in x); a bijection onto the naturals."""
-    memo = {}
-
-    def rec(s):
-        n = memo.get(s)
-        if n is None:
-            n = 0
-            for e in s._elems:
-                n += 1 << rec(e)
-            memo[s] = n
-        return n
-
-    return rec(x)
+    code = {}
+    for s in _bottom_up(x):
+        n = 0
+        for e in s._elems:
+            c = code[e]
+            if c >= ENCODE_MAX_BITS:
+                raise BudgetError(f"the Ackermann code of a rank-{s._rank} set has more than {ENCODE_MAX_BITS} bits")
+            n += 1 << c
+        code[s] = n
+    return code[x]
 
 
 def ackermann_decode(n):
@@ -491,28 +505,31 @@ def ackermann_decode(n):
 def parse_set(text):
     """Parse the brace syntax, e.g. '{{},{{}}}'. Whitespace is ignored."""
     s = "".join(text.split())
+    n = len(s)
     pos = 0
-
-    def parse():
-        nonlocal pos
-        if pos >= len(s) or s[pos] != "{":
+    open_sets = []  # the elements read so far of each brace still open
+    while True:
+        # a set starts here: the whole literal or the next element
+        if pos >= n or s[pos] != "{":
             raise ParseError("expected '{'", column=pos, expected=("{",))
         pos += 1
-        elems = []
-        if pos < len(s) and s[pos] == "}":
-            pos += 1
-            return HFSet(elems)
-        while True:
-            elems.append(parse())
-            if pos < len(s) and s[pos] == ",":
+        if pos >= n or s[pos] != "}":
+            open_sets.append([])
+            continue
+        pos += 1
+        x = _EMPTY
+        # x is complete: add it to its set, closing every brace that ends here
+        while open_sets:
+            open_sets[-1].append(x)
+            if pos < n and s[pos] == ",":
                 pos += 1
+                break
+            if pos < n and s[pos] == "}":
+                pos += 1
+                x = HFSet(open_sets.pop())
                 continue
-            if pos < len(s) and s[pos] == "}":
-                pos += 1
-                return HFSet(elems)
             raise ParseError("expected ',' or '}'", column=pos, expected=(",", "}"))
-
-    result = parse()
-    if pos != len(s):
-        raise ParseError("trailing input after set literal", column=pos)
-    return result
+        else:
+            if pos != n:
+                raise ParseError("trailing input after set literal", column=pos)
+            return x

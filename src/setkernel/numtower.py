@@ -44,10 +44,6 @@ class Frac:
             return NotImplemented
         return self.num == other.num and self.den == other.den
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
     def _cmp(self, other):
         lhs = self.num * other.den
         rhs = other.num * self.den

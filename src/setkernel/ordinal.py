@@ -85,10 +85,6 @@ class CnfOrdinal:
             return NotImplemented
         return self._terms == other._terms
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
     def __lt__(self, other):
         other = _coerce(other)
         if other is None:

@@ -41,11 +41,6 @@ class Dyadic:
             return NotImplemented
         return self.num == other.num and self.k == other.k
 
-    def __ne__(self, other):
-        if not isinstance(other, Dyadic):
-            return NotImplemented
-        return self.num != other.num or self.k != other.k
-
     def _cmp(self, other):
         k = max(self.k, other.k)
         a = self.num << (k - self.k)

@@ -1,20 +1,23 @@
 """Tokenizer, AST, and parser for the expression surface.
 
-Grammar (precedence ^ > * > + = (+)):
+Grammar:
 
-    stmt   := 'let' IDENT '=' expr | expr
-    expr   := term (('+' | '(+)') term)*
-    term   := factor ('*' factor)*
-    factor := atom ('^' factor)?
-    atom   := 'w' | NAT | FRAC | '-' (NAT | FRAC) | setlit
-            | '(' expr ')' | IDENT atom*
+    stmt := 'let' IDENT '=' expr | expr
+    expr := atom (BINOP atom)*
+    atom := 'w' | NAT | FRAC | '-' (NAT | FRAC) | setlit
+          | '(' expr ')' | IDENT atom*
 
-'+' and '*' associate left, '^' right.  An identifier followed by atoms
-is a command application ("simp {0} {1}"); alone it is a variable.  'w'
-is reserved for the first infinite ordinal.  The natural-sum operator
-may be written '(+)' or the single character U+2295.
+BINOP is '+', '(+)', '*' or '^'.  '^' binds tightest, then '*', then
+'+' and '(+)' alike; '+', '(+)' and '*' associate left, '^' right.  An
+identifier followed by atoms is a command application ("simp {0} {1}");
+alone it is a variable.  'w' is reserved for the first infinite
+ordinal.  The natural-sum operator may be written '(+)' or the single
+character U+2295.  A NAT is a run of decimal digits of any script; an
+identifier starts with a letter or '_'.  Brackets, command arguments
+and '^' chains may nest at most MAX_NESTING deep.
 """
 
+import re
 from dataclasses import dataclass
 
 from .errors import ParseError
@@ -65,65 +68,45 @@ class Let:
     expr: object
 
 
-_PUNCT = {"{", "}", "(", ")", ",", "+", "*", "^", "/", "=", "-"}
+# One token per match: a natural (exactly the digits int() reads), an
+# identifier, a punctuator, or any other character, which is an error.
+_TOKEN = re.compile(r"\s*(?:(?P<nat>\d+)|(?P<ident>[^\W\d]\w*)|(?P<punct>\(\+\)|⊕|[{}(),+*^/=-])|(?P<bad>\S))")
+
+# operator -> (precedence, least precedence of its right operand); '^'
+# binds tightest and is the only right-associative operator
+_BINARY = {"+": (1, 2), "(+)": (1, 2), "*": (2, 3), "^": (3, 3)}
+
+# Brackets, command arguments and '^' right operands each nest one
+# level.  Parsing and evaluating take at most three Python frames per
+# level, so a line this deep needs about 600 of the default 1000.
+MAX_NESTING = 200
 
 
 def tokenize(text):
-    """Yield (kind, value, column) triples; kinds: nat, ident, punct, oplus."""
+    """Return (kind, value, column) triples; kinds: nat, ident, punct."""
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c == "⊕":
-            tokens.append(("oplus", "(+)", i))
-            i += 1
-            continue
-        if text.startswith("(+)", i):
-            tokens.append(("oplus", "(+)", i))
-            i += 3
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(("nat", text[i:j], i))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("ident", text[i:j], i))
-            i = j
-            continue
-        if c in _PUNCT:
-            tokens.append(("punct", c, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", column=i)
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        value = m[kind]
+        # an identifier starts with a letter or '_'; \w also admits
+        # numeric characters that are not decimal digits, such as '²'
+        if kind == "bad" or kind == "ident" and not (value[0].isalpha() or value[0] == "_"):
+            raise ParseError(f"unexpected character {value[0]!r}", column=m.start(kind))
+        tokens.append((kind, "(+)" if value == "⊕" else value, m.start(kind)))
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens, length):
-        self.tokens = tokens
+    def __init__(self, tokens):
+        self.tokens = tokens  # the last one is ("end", None, length of the text)
         self.pos = 0
-        self.length = length
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+        self.depth = 0
 
     def column(self):
-        t = self.peek()
-        return t[2] if t else self.length
+        return self.tokens[self.pos][2]
 
     def take_punct(self, value):
-        t = self.peek()
-        if t and t[0] == "punct" and t[1] == value:
+        if self.tokens[self.pos][1] == value:
             self.pos += 1
             return True
         return False
@@ -132,12 +115,18 @@ class _Parser:
         if not self.take_punct(value):
             raise ParseError("syntax error", column=self.column(), expected=(value,))
 
+    def nest(self, column):
+        """Enter one nesting level; the caller restores self.depth after."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING}", column=column)
+
     def stmt(self):
-        t = self.peek()
-        if t and t[0] == "ident" and t[1] == "let":
+        t = self.tokens[self.pos]
+        if t[0] == "ident" and t[1] == "let":
             self.pos += 1
-            name_tok = self.peek()
-            if not name_tok or name_tok[0] != "ident":
+            name_tok = self.tokens[self.pos]
+            if name_tok[0] != "ident":
                 raise ParseError("expected a name after 'let'", column=self.column(), expected=("identifier",))
             if name_tok[1] in ("w", "let"):
                 raise ParseError(f"{name_tok[1]!r} is reserved", column=self.column())
@@ -146,44 +135,34 @@ class _Parser:
             node = Let(name_tok[1], self.expr())
         else:
             node = self.expr()
-        if self.peek() is not None:
+        if self.tokens[self.pos][0] != "end":
             raise ParseError("trailing input", column=self.column(), expected=("end of input",))
         return node
 
-    def expr(self):
-        node = self.term()
-        while True:
-            t = self.peek()
-            if t and t[0] == "punct" and t[1] == "+":
-                self.pos += 1
-                node = Bin("+", node, self.term())
-            elif t and t[0] == "oplus":
-                self.pos += 1
-                node = Bin("(+)", node, self.term())
-            else:
-                return node
-
-    def term(self):
-        node = self.factor()
-        while self.take_punct("*"):
-            node = Bin("*", node, self.factor())
-        return node
-
-    def factor(self):
+    def expr(self, min_prec=1):
+        """Precedence climbing: operators binding at least min_prec."""
         node = self.atom()
-        if self.take_punct("^"):
-            node = Bin("^", node, self.factor())
-        return node
+        while True:
+            t = self.tokens[self.pos]
+            prec, right_prec = _BINARY.get(t[1], (0, 0))
+            if prec < min_prec:
+                return node
+            self.pos += 1
+            depth = self.depth
+            if prec == right_prec:  # a right-associative chain nests
+                self.nest(t[2])
+            node = Bin(t[1], node, self.expr(right_prec))
+            self.depth = depth
 
     def _numeric(self, negate):
-        t = self.peek()
-        if not t or t[0] != "nat":
+        t = self.tokens[self.pos]
+        if t[0] != "nat":
             raise ParseError("expected a number", column=self.column(), expected=("natural number",))
         self.pos += 1
         num = int(t[1])
         if self.take_punct("/"):
-            d = self.peek()
-            if not d or d[0] != "nat":
+            d = self.tokens[self.pos]
+            if d[0] != "nat":
                 raise ParseError("expected a denominator", column=self.column(), expected=("natural number",))
             self.pos += 1
             den = int(d[1])
@@ -195,10 +174,9 @@ class _Parser:
         return Nat(num)
 
     def atom(self):
-        t = self.peek()
-        if t is None:
-            raise ParseError("unexpected end of input", column=self.column(), expected=("atom",))
-        kind, value, col = t
+        kind, value, col = self.tokens[self.pos]
+        if kind == "end":
+            raise ParseError("unexpected end of input", column=col, expected=("atom",))
         if kind == "punct" and value == "-":
             self.pos += 1
             return self._numeric(negate=True)
@@ -206,42 +184,41 @@ class _Parser:
             return self._numeric(negate=False)
         if kind == "punct" and value == "(":
             self.pos += 1
+            self.nest(col)
             node = self.expr()
             self.expect_punct(")")
+            self.depth -= 1
             return node
         if kind == "punct" and value == "{":
             self.pos += 1
+            self.nest(col)
             items = []
-            if self.take_punct("}"):
-                return SetLit(())
-            while True:
+            if not self.take_punct("}"):
                 items.append(self.expr())
-                if self.take_punct(","):
-                    continue
+                while self.take_punct(","):
+                    items.append(self.expr())
                 self.expect_punct("}")
-                return SetLit(tuple(items))
+            self.depth -= 1
+            return SetLit(tuple(items))
         if kind == "ident":
             self.pos += 1
             if value == "w":
                 return WSym()
+            if not self._at_atom_start():
+                return Var(value)
+            self.nest(col)
             args = []
             while self._at_atom_start():
                 args.append(self.atom())
-            if args:
-                return Call(value, tuple(args))
-            return Var(value)
+            self.depth -= 1
+            return Call(value, tuple(args))
         raise ParseError(f"unexpected token {value!r}", column=col, expected=("atom",))
 
     def _at_atom_start(self):
-        t = self.peek()
-        if t is None:
-            return False
-        kind, value, _ = t
-        if kind in ("nat", "ident"):
-            return True
-        return kind == "punct" and value in ("{", "(", "-")
+        kind, value, _ = self.tokens[self.pos]
+        return kind in ("nat", "ident") or value in ("{", "(", "-")
 
 
 def parse(text):
     """Parse one statement (a 'let' binding or an expression)."""
-    return _Parser(tokenize(text), len(text)).stmt()
+    return _Parser(tokenize(text) + [("end", None, len(text))]).stmt()

@@ -1,15 +1,18 @@
 import io
 import json
 import random
+import sys
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from setkernel import cli, hfset, ordinal, syntax
 from setkernel.cli import Evaluator, Session, render, run_batch
 from setkernel.errors import EvalError, ParseError, SortMismatchError
 from setkernel.numtower import Frac
 from setkernel.surreal import Dyadic
-from setkernel.syntax import Bin, Call, Nat, Rat, SetLit, Var, WSym, parse
+from setkernel.syntax import MAX_NESTING, Bin, Call, Nat, Rat, SetLit, Var, WSym, parse
 
 from helpers import rand_hfset, rand_ordinal
 
@@ -34,6 +37,90 @@ def test_parse_shapes():
     assert nested == Bin("^", WSym(), Bin("^", WSym(), WSym()))
     right_assoc = parse("w^w^w")
     assert right_assoc == nested
+
+
+def test_natural_sum_operator():
+    both = Bin("(+)", Bin("(+)", WSym(), Bin("*", Nat(1), Nat(2))), Nat(3))
+    assert parse("w (+) 1*2 ⊕ 3") == both
+    assert parse("w⊕1*2(+)3") == both
+    assert parse("w + 1 (+) w") == Bin("(+)", Bin("+", WSym(), Nat(1)), WSym())
+    assert render(ev("(w+1) (+) w")) == "w*2+1"
+
+
+def test_tokens_are_decimal_digits_and_letters(tmp_path):
+    # \d is exactly what int() reads, in any script
+    assert parse("٣ + 1") == Bin("+", Nat(3), Nat(1))
+    assert parse("x² + 1") == Bin("+", Var("x²"), Nat(1))
+    bad = (("²", 0), ("1 + ²", 4), ("{²}", 1), ("½", 0), ("12²", 2))
+    for line, column in bad:
+        with pytest.raises(ParseError) as exc:
+            parse(line)
+        assert str(exc.value) == f"1:{column}: unexpected character {line[column]!r}"
+    src = tmp_path / "in.txt"
+    src.write_text("".join(line + "\n" for line, _ in bad))
+    buf = io.StringIO()
+    assert run_batch(src, keep_going=True, out=buf) == 2
+    assert buf.getvalue().count("\t!syntax error: ") == len(bad)
+
+
+# the grammar's characters, whitespace, and digits int() reads ('٣') or not ('²', '½')
+_GRAMMAR_CHARS = "0123456789w x_{}(),+*^/=-⊕²½٣\t"
+_LINES = st.text(alphabet=_GRAMMAR_CHARS, max_size=40)
+_RUN = st.integers(0, 2 * MAX_NESTING)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    st.one_of(
+        _LINES,
+        st.builds(lambda a, body, b: "(" * a + body + ")" * b, _RUN, _LINES, _RUN),
+        st.builds(lambda a, body, b: "{" * a + body + "}" * b, _RUN, _LINES, _RUN),
+        st.builds(lambda body, n: "^".join([body] * n), _LINES, _RUN),
+    )
+)
+@example("²")
+@example("1 + ²")
+@example("{²}")
+@example("(" * 5000 + "1" + ")" * 5000)
+@example("^".join(["1"] * 5000))
+def test_parse_is_total(line):
+    """parse returns an AST or raises ParseError, on any line.
+
+    Only parsing is checked: lines such as 9^9^9 and :bnf 100000000
+    parse but still do not end when evaluated, until one resource budget
+    bounds evaluation (ROADMAP item 3).
+    """
+    try:
+        parse(line)
+    except ParseError:
+        pass
+
+
+def _depth_lines(n):
+    """One line per nesting kind, each nested n deep, with its rendered value."""
+    return {
+        "parens": ("(" * n + "1" + ")" * n, "1"),
+        "braces": ("{" * n + "}" * n, "{" * n + "}" * n),
+        "power": ("^".join(["1"] * (n + 1)), "1"),
+        "commands": ("cnf " * n + "1", "1"),
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(_depth_lines(1)))
+def test_nesting_limit(kind):
+    assert sys.getrecursionlimit() == 1000
+    line, shown = _depth_lines(MAX_NESTING)[kind]
+    assert render(ev(line)) == shown
+    for too_deep in (MAX_NESTING + 1, 5000):
+        line, _ = _depth_lines(too_deep)[kind]
+        with pytest.raises(ParseError, match=f"nesting deeper than {MAX_NESTING}"):
+            parse(line)
+
+
+def test_long_sums_fold_without_recursion():
+    line = " + ".join(["1"] * 5000)
+    assert ev(line) == 5000
+    assert render(ev("w*0 + " + line)) == "5000"
 
 
 def test_parse_errors_carry_position():
@@ -148,9 +235,17 @@ def test_collapse_missing_file(tmp_path):
         Session().run_line(f":collapse {tmp_path / 'missing.txt'}")
 
 
-def test_cbs_missing_file(tmp_path):
+@pytest.mark.parametrize(
+    "content",
+    [None, '{"f": {"0": "a"}', '{"g": {}}', "[1, 2]", '{"f": 1, "g": {}}', '{"f": {"0": [1]}, "g": {}}', "[" * 100000],
+    ids=["missing", "malformed", "no-f", "not-an-object", "f-not-an-object", "unhashable-value", "deep"],
+)
+def test_cbs_bad_map_file(tmp_path, content):
+    path = tmp_path / "maps.json"
+    if content is not None:
+        path.write_text(content)
     with pytest.raises(EvalError):
-        Session().run_line(f":cbs {tmp_path / 'missing.json'}")
+        Session().run_line(f":cbs {path}")
 
 
 def test_roundtrip_fuzz_parse_print():

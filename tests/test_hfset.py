@@ -261,6 +261,16 @@ def test_ackermann_encode_examples():
     assert ackermann_encode(TWO) == 3
 
 
+def test_ackermann_encode_caps_code_bits():
+    # the largest shift that still fits: V_4 has code 2^16 - 1
+    top = singleton(v_stage(4))
+    assert ackermann_encode(top) == 1 << (hfset.ENCODE_MAX_BITS - 1)
+    assert ackermann_decode(ackermann_encode(top)) is top
+    for x in (vn_nat(6), singleton(top), _singleton_chain(5000)):
+        with pytest.raises(BudgetError):
+            ackermann_encode(x)
+
+
 def test_ackermann_bijection_exhaustive():
     # encode(decode(n)) == n for every code below |V_5| = 2^16
     for n in range(1 << 16):
@@ -349,6 +359,13 @@ def test_deep_chains_at_default_recursion_limit():
     assert (x < y) is False
     assert rank_in(x) == depth
     assert _singleton_chain(depth - 1) < x
+    text = str(x)
+    assert text == "{" * (depth + 1) + "}" * (depth + 1)
+    assert parse_set(text) is x
+    below = [E]
+    while len(below) < depth:
+        below.append(singleton(below[-1]))
+    assert tc(x) is HFSet(below)
 
 
 def test_intern_table_keeps_no_node_alive():
