@@ -16,18 +16,6 @@ from .numtower import Frac
 from .surreal import Dyadic, SignExpansion
 
 
-class NumberSet:
-    """A finite set of rationals used as a cut/option side."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values):
-        self.values = frozenset(values)
-
-    def __str__(self):
-        return "{" + ",".join(str(v) for v in sorted(self.values)) + "}"
-
-
 def _as_ordinal(v):
     if isinstance(v, ordinal.CnfOrdinal):
         return v
@@ -39,8 +27,6 @@ def _as_ordinal(v):
 def _as_frac(v):
     if isinstance(v, Frac):
         return v
-    if isinstance(v, Dyadic):
-        return numtower.from_dyadic(v)
     if isinstance(v, int):
         return Frac(v)
     o = _finite_ordinal(v)
@@ -69,15 +55,15 @@ def _as_hfset(v):
 
 
 def _as_numset(v):
-    if isinstance(v, NumberSet):
-        return frozenset(_as_dyadic(f) for f in v.values)
+    if isinstance(v, frozenset):
+        return frozenset(_as_dyadic(f) for f in v)
     if isinstance(v, hfset.HFSet) and len(v) == 0:
         return frozenset()
     raise SortMismatchError(f"expected a set of numbers, got {render(v)}")
 
 
 def _apply_bin(op, a, b):
-    if isinstance(a, (hfset.HFSet, NumberSet)) or isinstance(b, (hfset.HFSet, NumberSet)):
+    if isinstance(a, (hfset.HFSet, frozenset)) or isinstance(b, (hfset.HFSet, frozenset)):
         raise SortMismatchError(f"operator {op!r} does not apply to sets")
     if op == "(+)":
         return ordinal.hessenberg(_as_ordinal(a), _as_ordinal(b))
@@ -88,7 +74,7 @@ def _apply_bin(op, a, b):
         if op == "*":
             return ordinal.mul(x, y)
         return ordinal.opow(x, y)
-    if isinstance(a, (Frac, Dyadic)) or isinstance(b, (Frac, Dyadic)):
+    if isinstance(a, Frac) or isinstance(b, Frac):
         if op == "^":
             raise SortMismatchError("'^' applies to ordinals only")
         x, y = _as_frac(a), _as_frac(b)
@@ -177,12 +163,8 @@ class Evaluator:
         if isinstance(node, syntax.WSym):
             return ordinal.OMEGA
         if isinstance(node, syntax.Bin):
-            # a loop over the left spine: '1 + 1 + ...' nests as deep as it is long
-            spine = []
-            while isinstance(node, syntax.Bin):
-                spine.append(node)
-                node = node.left
-            value = self.eval_node(node)
+            spine, leaf = node.spine()
+            value = self.eval_node(leaf)
             for b in reversed(spine):
                 value = _apply_bin(b.op, value, self.eval_node(b.right))
             return value
@@ -208,9 +190,9 @@ class Evaluator:
             return hfset.empty()
         if all(isinstance(i, hfset.HFSet) for i in items):
             return hfset.HFSet(items)
-        if any(isinstance(i, (hfset.HFSet, NumberSet)) for i in items):
+        if any(isinstance(i, (hfset.HFSet, frozenset)) for i in items):
             raise SortMismatchError("set literal mixes sets and numbers")
-        return NumberSet(_as_frac(i) for i in items)
+        return frozenset(_as_frac(i) for i in items)
 
     def eval_text(self, text):
         return self.eval_node(syntax.parse(text))
@@ -220,8 +202,11 @@ def render(v):
     """Canonical text for any value the evaluator can produce."""
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, (ordinal.CnfOrdinal, Frac, Dyadic, hfset.HFSet, SignExpansion, NumberSet, int)):
+    if isinstance(v, (ordinal.CnfOrdinal, Frac, hfset.HFSet, SignExpansion, int)):
         return str(v)
+    if isinstance(v, frozenset):
+        # a number-set literal, listed in ascending order
+        return "{" + ",".join(str(x) for x in sorted(v)) + "}"
     if isinstance(v, str):
         return v if v else '""'
     if isinstance(v, tuple):

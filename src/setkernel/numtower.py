@@ -36,7 +36,8 @@ class Frac:
         return self.den == 1
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        # an integral Frac equals its int, so it must hash like it
+        return hash(self.num) if self.den == 1 else hash((self.num, self.den))
 
     def __eq__(self, other):
         other = _coerce(other)
@@ -81,6 +82,9 @@ class Frac:
         if other is None:
             return NotImplemented
         return self + (-other)
+
+    def __rsub__(self, other):
+        return -self + other
 
     def __mul__(self, other):
         other = _coerce(other)
@@ -131,7 +135,8 @@ def q_cmp(a, b):
     return a._cmp(b)
 
 
-def parse_frac(text):
+def _parse_ratio(text):
+    """The unreduced numerator and positive denominator of an 'm' or 'm/n' literal."""
     num_s, slash, den_s = text.strip().partition("/")
     try:
         num = int(num_s)
@@ -140,7 +145,11 @@ def parse_frac(text):
         raise PreconditionError(f"malformed fraction literal {text!r}") from exc
     if den <= 0:
         raise PreconditionError(f"denominator must be positive, got {den}")
-    return Frac(num, den)
+    return num, den
+
+
+def parse_frac(text):
+    return Frac(*_parse_ratio(text))
 
 
 def z_encode(n):
@@ -192,4 +201,4 @@ def q_decode(x):
 
 def from_dyadic(d):
     """Embed a dyadic rational into Frac."""
-    return Frac(d.num, 1 << d.k)
+    return Frac(d.num, d.den)

@@ -1,9 +1,13 @@
 """Finite-birthday surreal numbers, i.e. the dyadic rationals.
 
-A Dyadic is num / 2**k in lowest terms (num odd whenever k > 0).  The
-exact field operations on Dyadic (+, -, *) serve as the independent
-oracle; `conway_add`, `conway_neg`, and `conway_mul` evaluate the
-recursive option formulas instead and must agree with them.
+A Dyadic is a `numtower.Frac` whose denominator is 2**k, kept as
+num / 2**k in lowest terms (num odd whenever k > 0).  Equality, hashing,
+order and text are Frac's, so a Dyadic equals the Frac of the same
+value.  Exact rational arithmetic serves as the independent oracle:
+Frac's +, - and *, which Dyadic specialises to shifts so that sums,
+differences and products of Dyadics stay Dyadic.  `conway_add`,
+`conway_neg`, and `conway_mul` evaluate the recursive option formulas
+instead and must agree with it.
 
 The recursions run over canonical (single-element) option sets rather
 than full cut sides.  That uniformity is standard Conway theory; it is
@@ -11,11 +15,17 @@ not proved here but the agreement with exact arithmetic is enforced by
 the test suite.
 """
 
+import itertools
+
 from .errors import PreconditionError
+from .numtower import Frac, _parse_ratio
 
 
-class Dyadic:
-    __slots__ = ("num", "k")
+class Dyadic(Frac):
+    """num / 2**k; den == 1 << k.  +, - and * of two Dyadics give a Dyadic,
+    with any other operand they give a Frac."""
+
+    __slots__ = ("k",)
 
     def __init__(self, num, k=0):
         if k < 0:
@@ -24,60 +34,32 @@ class Dyadic:
             num //= 2
             k -= 1
         self.num = num
+        self.den = 1 << k
         self.k = k
 
     @classmethod
     def from_int(cls, n):
         return cls(n, 0)
 
-    def is_integer(self):
-        return self.k == 0
-
-    def __hash__(self):
-        return hash((self.num, self.k))
-
-    def __eq__(self, other):
-        if not isinstance(other, Dyadic):
-            return NotImplemented
-        return self.num == other.num and self.k == other.k
-
-    def _cmp(self, other):
-        k = max(self.k, other.k)
-        a = self.num << (k - self.k)
-        b = other.num << (k - other.k)
-        return (a > b) - (a < b)
-
-    def __lt__(self, other):
-        return self._cmp(other) < 0
-
-    def __le__(self, other):
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp(other) >= 0
-
-    # exact rational arithmetic: the oracle route
     def __add__(self, other):
+        if not isinstance(other, Dyadic):
+            return Frac.__add__(self, other)
         k = max(self.k, other.k)
         return Dyadic((self.num << (k - self.k)) + (other.num << (k - other.k)), k)
 
     def __sub__(self, other):
+        if not isinstance(other, Dyadic):
+            return Frac.__sub__(self, other)
         k = max(self.k, other.k)
         return Dyadic((self.num << (k - self.k)) - (other.num << (k - other.k)), k)
 
     def __mul__(self, other):
+        if not isinstance(other, Dyadic):
+            return Frac.__mul__(self, other)
         return Dyadic(self.num * other.num, self.k + other.k)
 
     def __neg__(self):
         return Dyadic(-self.num, self.k)
-
-    def __str__(self):
-        if self.k == 0:
-            return str(self.num)
-        return f"{self.num}/{1 << self.k}"
 
     def __repr__(self):
         return f"Dyadic({self})"
@@ -89,13 +71,8 @@ ONE = Dyadic(1)
 
 def parse_dyadic(text):
     """Parse 'm', 'm/2^k literals' such as '3/4' or '-5/8'."""
-    num_s, slash, den_s = text.strip().partition("/")
-    try:
-        num = int(num_s)
-        den = int(den_s) if slash else 1
-    except ValueError as exc:
-        raise PreconditionError(f"malformed dyadic literal {text!r}") from exc
-    if den <= 0 or den & (den - 1):
+    num, den = _parse_ratio(text)
+    if den & (den - 1):
         raise PreconditionError(f"denominator {den} is not a power of two")
     return Dyadic(num, den.bit_length() - 1)
 
@@ -430,12 +407,7 @@ def born_by(n):
 
 def enumerate_dyadics():
     """All dyadics in (birthday, value) order: 0, -1, 1, -2, -1/2, ..."""
-    day = 0
-    prev = set()
-    while True:
-        cur = born_by(day)
-        for v in cur:
-            if v not in prev:
-                yield v
-        prev = set(cur)
-        day += 1
+    yield ZERO
+    for day in itertools.count(1):
+        # born_by(day) alternates the values born on `day` with the older ones
+        yield from born_by(day)[::2]

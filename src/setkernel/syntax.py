@@ -50,6 +50,32 @@ class Bin:
     left: object
     right: object
 
+    # '1 + 1 + ...' nests as deep as it is long, so equality, hashing and
+    # repr walk the left spine in a loop where the generated ones recurse
+    def spine(self):
+        """The Bin nodes down the left spine, outermost first, and the node below them."""
+        nodes = []
+        node = self
+        while isinstance(node, Bin):
+            nodes.append(node)
+            node = node.left
+        return nodes, node
+
+    def __eq__(self, other):
+        if other.__class__ is not Bin:
+            return NotImplemented
+        (xs, x), (ys, y) = self.spine(), other.spine()
+        return len(xs) == len(ys) and x == y and all(a.op == b.op and a.right == b.right for a, b in zip(xs, ys))
+
+    def __hash__(self):
+        nodes, leaf = self.spine()
+        return hash((leaf, tuple((b.op, b.right) for b in nodes)))
+
+    def __repr__(self):
+        nodes, leaf = self.spine()
+        head = "".join(f"Bin(op={b.op!r}, left=" for b in nodes)
+        return head + repr(leaf) + "".join(f", right={b.right!r})" for b in reversed(nodes))
+
 
 @dataclass(frozen=True)
 class Call:

@@ -121,6 +121,22 @@ def test_long_sums_fold_without_recursion():
     line = " + ".join(["1"] * 5000)
     assert ev(line) == 5000
     assert render(ev("w*0 + " + line)) == "5000"
+    assert repr(parse(line)).count("Bin(") == 4999
+    assert hash(parse(line)) == hash(parse(line))
+    assert parse(line) == parse(line)
+
+
+def test_bin_methods_match_the_dataclass_forms():
+    ast = parse("1 + 2*3^4 + (w (+) {5})")
+    assert repr(ast) == (
+        "Bin(op='+', left=Bin(op='+', left=Nat(value=1), right=Bin(op='*', left=Nat(value=2), "
+        "right=Bin(op='^', left=Nat(value=3), right=Nat(value=4)))), "
+        "right=Bin(op='(+)', left=WSym(), right=SetLit(items=(Nat(value=5),))))"
+    )
+    assert ast == parse("(1 + 2*(3^4)) + (w (+) {5})") and hash(ast) == hash(parse("1+2*3^4+(w(+){5})"))
+    for other in ("1 + (2*3^4 + (w (+) {5}))", "1 + 2*3^4 + (w + {5})", "2 + 2*3^4 + (w (+) {5})", "1 + 2*3^4"):
+        assert ast != parse(other)
+    assert parse("1 + 1") != Nat(2)
 
 
 def test_parse_errors_carry_position():

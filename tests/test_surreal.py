@@ -1,9 +1,12 @@
+import itertools
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 
 from setkernel.errors import PreconditionError
+from setkernel.numtower import Frac, parse_frac
 from setkernel.surreal import (
     Dyadic,
     SignExpansion,
@@ -166,6 +169,9 @@ def test_enumeration_order():
     assert first == [D(0), D(-1), D(1), D(-2), D(-1, 1), D(1, 1), D(2)]
     bdays = [birthday(d) for d in first]
     assert bdays == sorted(bdays)
+    days = birthday_oracle_pool(8)
+    want = sorted(born_by(8), key=lambda d: (days[frac_value(d)], frac_value(d)))
+    assert list(itertools.islice(enumerate_dyadics(), 511)) == want
 
 
 def test_parse_dyadic():
@@ -179,3 +185,49 @@ def test_parse_dyadic():
 def test_parse_dyadic_rejects_malformed_literal():
     with pytest.raises(PreconditionError):
         parse_dyadic("7/4/3")
+
+
+def test_dyadic_is_a_frac():
+    assert isinstance(HALF, Frac)
+    assert HALF == Frac(1, 2) and Frac(1, 2) == HALF
+    assert hash(HALF) == hash(Frac(1, 2))
+    assert D(3, 2) != Frac(3, 8) and D(2) == 2 and HALF != 1
+    assert len({Frac(2), D(2), 2}) == 1
+    assert len({Frac(1, 2), D(1, 1)}) == 1
+    assert (HALF.num, HALF.den, HALF.k) == (1, 2, 1)
+    assert str(D(-5, 3)) == "-5/8" and repr(D(-5, 3)) == "Dyadic(-5/8)" and D(4).is_integer()
+
+
+def test_sort_mixes_fracs_and_dyadics():
+    vals = [Frac(-3, 2), D(-1), Frac(-1, 3), D(0), D(1, 2), Frac(1, 3), HALF, Frac(2, 3), D(1)]
+    assert sorted(vals[::-1]) == vals
+    assert sorted(vals[1::2] + vals[::2]) == vals
+    assert max(vals) is vals[-1] and min(Frac(-2), D(-1), 1) == -2
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+def test_arithmetic_result_types(op):
+    def exact(v):
+        return Fraction(v) if isinstance(v, int) else Fraction(v.num, v.den)
+
+    x, y, f = D(3, 2), D(-5, 1), Frac(1, 3)
+    assert type(op(x, y)) is Dyadic and exact(op(x, y)) == op(exact(x), exact(y))
+    assert birthday(op(x, y)) == {operator.add: 4, operator.sub: 6, operator.mul: 5}[op]
+    for a, b in ((x, f), (f, x), (x, 3), (3, x), (f, f)):
+        r = op(a, b)
+        assert type(r) is Frac and exact(r) == op(exact(a), exact(b))
+    assert type(-x) is Dyadic and -x == D(-3, 2)
+
+
+@pytest.mark.parametrize("text", ["7/4/3", "x", "1/0", "1/-2"])
+@pytest.mark.parametrize("parse", [parse_frac, parse_dyadic])
+def test_rational_readers_reject_malformed_literals(parse, text):
+    with pytest.raises(PreconditionError):
+        parse(text)
+
+
+def test_parse_dyadic_reads_only_power_of_two_denominators():
+    assert parse_frac("3/6") == Frac(1, 2)
+    with pytest.raises(PreconditionError):
+        parse_dyadic("3/6")
+    assert parse_dyadic("6/8") == D(3, 2) and type(parse_dyadic("6/8")) is Dyadic
