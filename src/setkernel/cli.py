@@ -11,7 +11,7 @@ import json
 import sys
 
 from . import hfset, linorder, numtower, ordinal, surreal, syntax, wforder
-from .errors import EvalError, KernelError, ParseError, SortMismatchError
+from .errors import BudgetError, EvalError, KernelError, ParseError, SortMismatchError
 from .numtower import Frac
 from .surreal import Dyadic, SignExpansion
 
@@ -44,7 +44,7 @@ def _finite_ordinal(v):
 def _as_dyadic(v):
     f = _as_frac(v)
     if f.den & (f.den - 1):
-        raise EvalError(f"{f} is not a dyadic rational")
+        raise EvalError(f"{render(f)} is not a dyadic rational")
     return Dyadic(f.num, f.den.bit_length() - 1)
 
 
@@ -84,7 +84,7 @@ def _apply_bin(op, a, b):
         return a + b
     if op == "*":
         return a * b
-    return a ** b
+    return ordinal.nat_pow(a, b)
 
 
 _VALUE_COMMANDS = {}
@@ -198,15 +198,22 @@ class Evaluator:
         return self.eval_node(syntax.parse(text))
 
 
+def _text(v):
+    try:
+        return str(v)
+    except ValueError as exc:  # Python's limit on the digits of an int in decimal
+        raise BudgetError("result has too many decimal digits to print") from exc
+
+
 def render(v):
     """Canonical text for any value the evaluator can produce."""
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, (ordinal.CnfOrdinal, Frac, hfset.HFSet, SignExpansion, int)):
-        return str(v)
+        return _text(v)
     if isinstance(v, frozenset):
         # a number-set literal, listed in ascending order
-        return "{" + ",".join(str(x) for x in sorted(v)) + "}"
+        return "{" + ",".join(_text(x) for x in sorted(v)) + "}"
     if isinstance(v, str):
         return v if v else '""'
     if isinstance(v, tuple):

@@ -2,9 +2,14 @@
 
 A value is a sum w^b1*k1 + ... + w^bn*kn with strictly decreasing ordinal
 exponents and positive integer coefficients, stored as a term tuple.  The
-transfinite recursions defining +, *, and exponentiation are implemented
-by their closed absorption forms; the algebraic laws they must satisfy
-are enforced by the test suite rather than assumed.
+transfinite recursions defining +, * and exponentiation are not run: each
+result is built once, as one term list, from its closed form, and the
+algebraic laws the recursions imply are enforced by the test suite rather
+than assumed.  A finite ordinal hashes like its int.
+
+A value has at most MAX_TERMS terms and exponents nested at most
+MAX_EXPONENT_DEPTH deep, and `nat_pow` refuses an integer power of more
+than about MAX_POW_BITS bits before computing it; each raises BudgetError.
 
 There is no right subtraction: a + c = b + c does not force a = b (for
 example 1 + w = 2 + w), so only the left-sided `lsub` is provided.
@@ -16,6 +21,8 @@ from functools import cmp_to_key
 from .errors import BudgetError, PreconditionError
 
 MAX_EXPONENT_DEPTH = 64
+MAX_TERMS = 1 << 14
+MAX_POW_BITS = 1 << 16
 
 
 class Kind(enum.Enum):
@@ -30,11 +37,23 @@ class Cofinality(enum.Enum):
     OMEGA = "omega"
 
 
+def _operator(fn):
+    """A binary dunder: an int operand is coerced, any other non-ordinal is NotImplemented."""
+
+    def method(self, other):
+        other = _coerce(other)
+        return NotImplemented if other is None else fn(self, other)
+
+    return method
+
+
 class CnfOrdinal:
     __slots__ = ("_terms", "_depth", "_hash")
 
     def __init__(self, terms=()):
         terms = tuple(terms)
+        if len(terms) > MAX_TERMS:
+            raise BudgetError(f"more than {MAX_TERMS} Cantor normal form terms")
         depth = 1
         prev = None
         for exp, coeff in terms:
@@ -50,11 +69,8 @@ class CnfOrdinal:
             raise BudgetError(f"exponent nesting deeper than {MAX_EXPONENT_DEPTH}")
         self._terms = terms
         self._depth = depth
-        self._hash = hash(terms)
-
-    @property
-    def terms(self):
-        return self._terms
+        # only a finite ordinal has depth 2 or less; it hashes like its int
+        self._hash = hash(terms) if depth > 2 else hash(terms[0][1]) if terms else 0
 
     @classmethod
     def from_int(cls, n):
@@ -66,84 +82,31 @@ class CnfOrdinal:
         return not self._terms
 
     def is_finite(self):
-        return not self._terms or (len(self._terms) == 1 and self._terms[0][0].is_zero())
+        return self._depth <= 2
 
     def as_int(self):
         """The natural-number value, or None when the ordinal is infinite."""
-        if not self._terms:
-            return 0
-        if self.is_finite():
-            return self._terms[0][1]
-        return None
+        if self._depth > 2:
+            return None
+        return self._terms[0][1] if self._terms else 0
 
     def __hash__(self):
         return self._hash
 
     def __eq__(self, other):
         other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return self._terms == other._terms
+        return NotImplemented if other is None else self._terms == other._terms
 
-    def __lt__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return _cmp_ord(self, other) < 0
-
-    def __le__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return _cmp_ord(self, other) <= 0
-
-    def __gt__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return _cmp_ord(self, other) > 0
-
-    def __ge__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return _cmp_ord(self, other) >= 0
-
-    def __add__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return add(self, other)
-
-    def __radd__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return add(other, self)
-
-    def __mul__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return mul(other, self)
-
-    def __pow__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return opow(self, other)
-
-    def __divmod__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return ord_divmod(self, other)
+    __lt__ = _operator(lambda a, b: _cmp_ord(a, b) < 0)
+    __le__ = _operator(lambda a, b: _cmp_ord(a, b) <= 0)
+    __gt__ = _operator(lambda a, b: _cmp_ord(a, b) > 0)
+    __ge__ = _operator(lambda a, b: _cmp_ord(a, b) >= 0)
+    __add__ = _operator(lambda a, b: add(a, b))
+    __radd__ = _operator(lambda a, b: add(b, a))
+    __mul__ = _operator(lambda a, b: mul(a, b))
+    __rmul__ = _operator(lambda a, b: mul(b, a))
+    __pow__ = _operator(lambda a, b: opow(a, b))
+    __divmod__ = _operator(lambda a, b: ord_divmod(a, b))
 
     def __str__(self):
         if not self._terms:
@@ -257,50 +220,55 @@ def lsub(a, b):
 
 
 def mul(a, b):
-    """Ordinal product, distributed over the right factor's terms."""
+    """Ordinal product in closed form, with w^e*k the leading term of a.
+
+    A term w^f*m of b with f > 0 gives w^(e+f)*m; a finite last term m
+    gives w^e*(k*m) and then a's tail.  e+f falls with f and stays above
+    every exponent of a's tail, so nothing absorbs.
+    """
     if not a._terms or not b._terms:
         return ZERO
-    ea = a._terms[0][0]
-    ka = a._terms[0][1]
-    acc = ZERO
+    (e, k), tail = a._terms[0], a._terms[1:]
+    terms = []
     for f, m in b._terms:
-        if f.is_zero():
-            # a * m: the leading coefficient scales, lower terms survive once
-            part = CnfOrdinal(((ea, ka * m),) + a._terms[1:])
+        if f._terms:
+            terms.append((add(e, f), m))
         else:
-            part = omega_pow(add(ea, f), m)
-        acc = add(acc, part)
-    return acc
+            terms.append((e, k * m))
+            terms.extend(tail)
+    return CnfOrdinal(terms)
 
 
 def ord_divmod(b, a):
     """Division with remainder: b = a*q + r with r < a; the pair is unique."""
     if not a._terms:
         raise ZeroDivisionError("ordinal division by zero")
-    ea, ka = a._terms[0]
+    (ea, ka), tb = a._terms[0], b._terms
     q_terms = []
-    r = b
-    while r._terms:
-        f, m = r._terms[0]
-        c = _cmp_ord(f, ea)
-        if c < 0:
-            break
-        if c > 0:
-            g = lsub(ea, f)  # ea + g = f, so a * (w^g * m) equals w^f * m
-            q_terms.append((g, m))
-            r = CnfOrdinal(r._terms[1:])
-            continue
+    i = 0
+    # a term w^f*m of b above a's leading exponent is a*(w^g*m) with ea + g = f
+    while i < len(tb) and _cmp_ord(tb[i][0], ea) > 0:
+        f, m = tb[i]
+        q_terms.append((lsub(ea, f), m))
+        i += 1
+    r = CnfOrdinal(tb[i:]) if i else b
+    if i < len(tb) and tb[i][0] == ea:
         # leading exponents agree: finite quotient digit
+        m = tb[i][1]
         digit = m // ka
-        if digit and ka * digit == m and _cmp_ord(CnfOrdinal(a._terms[1:]), CnfOrdinal(r._terms[1:])) > 0:
+        if digit and ka * digit == m and _cmp_ord(CnfOrdinal(a._terms[1:]), CnfOrdinal(tb[i + 1:])) > 0:
             digit -= 1
-        if digit == 0:
-            break
-        q_terms.append((ZERO, digit))
-        r = lsub(mul(a, CnfOrdinal.from_int(digit)), r)
-        break
-    q = CnfOrdinal(q_terms)
-    return q, r
+        if digit:
+            q_terms.append((ZERO, digit))
+            r = lsub(mul(a, CnfOrdinal.from_int(digit)), r)
+    return CnfOrdinal(q_terms), r
+
+
+def nat_pow(k, n):
+    """k ** n for naturals; BudgetError past about MAX_POW_BITS bits (never for 0^n or 1^n)."""
+    if n * (k.bit_length() - 1) > MAX_POW_BITS:
+        raise BudgetError(f"an integer power of more than {MAX_POW_BITS} bits")
+    return k ** n
 
 
 def opow(a, b):
@@ -315,38 +283,31 @@ def opow(a, b):
     limit_terms = b._terms[:-1] if n else b._terms
     ea = a._terms[0][0]
     if ea.is_zero():
-        # finite base: w absorbs one exponent level on each limit term
-        k = a._terms[0][1]
-        acc = ONE
-        for f, m in limit_terms:
-            fin = f.as_int()
-            shifted = CnfOrdinal.from_int(fin - 1) if fin is not None else f
-            acc = mul(acc, omega_pow(omega_pow(shifted, m)))
-        return mul(acc, CnfOrdinal.from_int(k ** n))
-    acc = ONE
-    if limit_terms:
-        lam = CnfOrdinal(limit_terms)
-        acc = omega_pow(mul(ea, lam))
-    return mul(acc, _opow_nat(a, n))
+        # finite base k >= 2: k^(w^f*m) = w^(w^g*m) with 1 + g = f, so
+        # k^b = w^x * k^n where x has the terms (g, m), already in order
+        x = CnfOrdinal([(lsub(ONE, f), m) for f, m in limit_terms])
+        return CnfOrdinal(((x, nat_pow(a._terms[0][1], n)),))
+    # a^(lambda + n) = w^(ea*lambda) * a^n for the limit part lambda of b
+    lead = omega_pow(mul(ea, CnfOrdinal(limit_terms))) if limit_terms else ONE
+    return mul(lead, _opow_nat(a, n))
 
 
 def _opow_nat(a, n):
+    """a^n by repeated squaring, without the unused last square."""
     acc = ONE
-    base = a
     while n:
         if n & 1:
-            acc = mul(acc, base)
-        base = mul(base, base)
+            acc = mul(acc, a)
         n >>= 1
+        if n:
+            a = mul(a, a)
     return acc
 
 
 def hessenberg(a, b):
     """Natural (commutative) sum: coefficients add exponent-wise."""
     coeffs = {}
-    for exp, k in a._terms:
-        coeffs[exp] = coeffs.get(exp, 0) + k
-    for exp, k in b._terms:
+    for exp, k in a._terms + b._terms:
         coeffs[exp] = coeffs.get(exp, 0) + k
     exps = sorted(coeffs, key=cmp_to_key(_cmp_ord), reverse=True)
     return CnfOrdinal(tuple((e, coeffs[e]) for e in exps))
@@ -358,9 +319,4 @@ def is_indecomposable(a):
 
 
 def cofinality_class(a):
-    k = kind(a)
-    if k is Kind.ZERO:
-        return Cofinality.ZERO
-    if k is Kind.SUCCESSOR:
-        return Cofinality.ONE
-    return Cofinality.OMEGA
+    return {Kind.ZERO: Cofinality.ZERO, Kind.SUCCESSOR: Cofinality.ONE, Kind.LIMIT: Cofinality.OMEGA}[kind(a)]

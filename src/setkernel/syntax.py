@@ -122,6 +122,13 @@ def tokenize(text):
     return tokens
 
 
+def _nat_value(token):
+    try:
+        return int(token[1])
+    except ValueError as exc:  # Python's limit on the digits of a decimal int
+        raise ParseError(f"numeral of {len(token[1])} digits is too long", column=token[2]) from exc
+
+
 class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens  # the last one is ("end", None, length of the text)
@@ -185,13 +192,13 @@ class _Parser:
         if t[0] != "nat":
             raise ParseError("expected a number", column=self.column(), expected=("natural number",))
         self.pos += 1
-        num = int(t[1])
+        num = _nat_value(t)
         if self.take_punct("/"):
             d = self.tokens[self.pos]
             if d[0] != "nat":
                 raise ParseError("expected a denominator", column=self.column(), expected=("natural number",))
             self.pos += 1
-            den = int(d[1])
+            den = _nat_value(d)
             if den == 0:
                 raise ParseError("zero denominator", column=d[2])
             return Rat(-num if negate else num, den)

@@ -241,6 +241,42 @@ def test_number_sets_render_in_exact_order(line, shown):
     assert render(Session().run_line(line)) == shown
 
 
+@pytest.mark.parametrize("line", ["9^9^9", "(w+1)^100000000", "3^(w+100000000)"])
+def test_huge_powers_end_in_budget_errors(line):
+    code, text = Session().outcome(line)
+    assert code == 1
+    assert "more than" in text
+
+
+_LONG_INTEGER_LINES = [
+    ("1" * 5000, 2),
+    ("{" + "1" * 5000 + "}", 2),
+    (":birthday 1/" + "2" * 5000, 2),
+    (":encode 1/" + "1" * 5000, 2),
+    ("2^20000", 1),
+    ("w*2^20000", 1),
+    ("birthday (2^20000 + 1/3)", 1),
+]
+
+
+@pytest.mark.parametrize(
+    "line, code", _LONG_INTEGER_LINES, ids=["numeral", "set", "birthday", "encode", "power", "coefficient", "message"]
+)
+def test_long_integers_end_in_typed_errors(line, code):
+    # Python refuses to convert ints of more than 4300 decimal digits
+    assert Session().outcome(line)[0] == code
+
+
+def test_batch_keeps_going_past_long_integers(tmp_path):
+    src = tmp_path / "in.txt"
+    src.write_text("".join(line + "\n" for line, _ in _LONG_INTEGER_LINES) + "1 + 1\n")
+    buf = io.StringIO()
+    assert run_batch(src, keep_going=True, out=buf) == 2
+    out = buf.getvalue().splitlines()
+    assert len(out) == len(_LONG_INTEGER_LINES) + 1
+    assert out[-1] == "1 + 1\t2"
+
+
 def test_bnf_rejects_non_integer():
     with pytest.raises(EvalError):
         Session().run_line(":bnf x")

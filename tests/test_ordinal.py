@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -248,3 +249,95 @@ def test_print_forms():
     assert str(omega_pow(W)) == "w^w"
     assert str(omega_pow(add(W, ONE))) == "w^(w+1)"
     assert str(omega_pow(omega_pow(W), 3)) == "w^(w^w)*3"
+
+
+def test_finite_ordinals_hash_like_ints():
+    assert len({fin(3), 3}) == 1
+    assert hash(ZERO) == hash(0)
+    assert {fin(n) for n in range(5)} == set(range(5))
+    # equal infinite ordinals built different ways hash equal
+    for x, y in [
+        (mul(W, fin(2)), add(W, W)),
+        (mul(add(W, fin(2)), W), omega_pow(2)),
+        (opow(fin(2), omega_pow(2)), omega_pow(W)),
+        (add(fin(3), W), W),
+        (succ(W), W + 1),
+    ]:
+        assert x == y and hash(x) == hash(y)
+        assert len({x, y}) == 1
+
+
+def _rand_terms(rng, max_terms, depth=2, max_coeff=5):
+    """A term list in descending exponent order, with its ordinal."""
+    exps = {rand_ordinal(rng, depth - 1, 3, max_coeff) for _ in range(rng.randint(1, max_terms))}
+    terms = [(e, rng.randint(1, max_coeff)) for e in sorted(exps, reverse=True)]
+    return terms, CnfOrdinal(terms)
+
+
+def test_mul_distributes_over_many_terms():
+    # the closed form agrees with the defining recursion: a*b is the sum
+    # of a times each term of b
+    rng = random.Random(53)
+    for _ in range(300):
+        _, a = _rand_terms(rng, 5)
+        terms, b = _rand_terms(rng, 6)
+        expected = ZERO
+        for f, m in terms:
+            part = mul(a, omega_pow(f, m))
+            if f == ZERO:
+                assert part == functools.reduce(add, [a] * m)
+            expected = add(expected, part)
+        assert mul(a, b) == expected
+
+
+def test_opow_by_naturals_is_repeated_product():
+    rng = random.Random(59)
+    for _ in range(100):
+        _, a = _rand_terms(rng, 4, max_coeff=3)
+        product = ONE
+        for n in range(7):
+            assert opow(a, fin(n)) == product
+            product = mul(product, a)
+
+
+def test_finite_base_powers_of_sums():
+    rng = random.Random(61)
+    for _ in range(200):
+        _, b = _rand_terms(rng, 5)
+        _, c = _rand_terms(rng, 5)
+        for k in range(2, 6):
+            assert opow(fin(k), add(b, c)) == mul(opow(fin(k), b), opow(fin(k), c))
+
+
+def test_long_powers_in_closed_form():
+    n = 2000
+    expected = "+".join([f"w^{i}" for i in range(n, 1, -1)] + ["w", "1"])
+    assert str(opow(W + 1, fin(n))) == expected
+
+
+def test_term_cap():
+    # (w+1)^n has n+1 terms: the largest power under the cap is built,
+    # the next is refused without building its square first
+    cap = ordinal.MAX_TERMS
+    assert str(opow(W + 1, fin(cap - 1))).count("+") == cap - 1
+    with pytest.raises(BudgetError):
+        opow(W + 1, fin(cap))
+    with pytest.raises(BudgetError):
+        opow(W + 1, fin(100000000))
+    with pytest.raises(BudgetError):
+        CnfOrdinal([(fin(i), 1) for i in range(cap, -1, -1)])
+
+
+def test_nat_pow_caps_bits():
+    bits = ordinal.MAX_POW_BITS
+    assert ordinal.nat_pow(2, bits) == 1 << bits
+    assert ordinal.nat_pow(3, 4) == 81
+    for k, n in [(2, bits + 1), (9, 9 ** 9), (3, 100000000)]:
+        with pytest.raises(BudgetError):
+            ordinal.nat_pow(k, n)
+    # 0^n and 1^n are never refused
+    assert ordinal.nat_pow(0, 10 ** 30) == 0
+    assert ordinal.nat_pow(1, 10 ** 30) == 1
+    assert ordinal.nat_pow(0, 0) == 1
+    with pytest.raises(BudgetError):
+        opow(fin(3), add(W, fin(100000000)))
