@@ -29,6 +29,7 @@ from .errors import (
     PreconditionError,
     SortMismatchError,
     WitnessError,
+    ZeroDivisorError,
 )
 from .hfset import HFSet
 from .numtower import Frac
@@ -57,5 +58,6 @@ __all__ = [
     "ParseError",
     "EvalError",
     "SortMismatchError",
+    "ZeroDivisorError",
     "__version__",
 ]

@@ -13,6 +13,10 @@ class PreconditionError(KernelError, ValueError):
     """An operation was called on arguments outside its domain."""
 
 
+class ZeroDivisorError(KernelError, ZeroDivisionError):
+    """A fraction has a zero denominator, or a division a zero divisor."""
+
+
 class NotWellFoundedError(KernelError):
     """The relation has a nonempty subset without a minimal element."""
 

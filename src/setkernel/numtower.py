@@ -12,7 +12,7 @@ coprime and n >= 2.
 import math
 
 from . import hfset
-from .errors import PreconditionError
+from .errors import PreconditionError, ZeroDivisorError
 
 
 class Frac:
@@ -22,7 +22,7 @@ class Frac:
 
     def __init__(self, num, den=1):
         if den == 0:
-            raise ZeroDivisionError("zero denominator")
+            raise ZeroDivisorError("zero denominator")
         if den < 0:
             num, den = -num, -den
         g = math.gcd(abs(num), den)
@@ -109,32 +109,6 @@ def _coerce(x):
     return None
 
 
-def q_make(m, n):
-    """The fraction m/n reduced by the gcd; an integer when n divides m."""
-    if n == 0:
-        raise ZeroDivisionError("zero denominator")
-    if n < 0:
-        raise PreconditionError("denominator must be positive")
-    return Frac(m, n)
-
-
-def q_add(a, b):
-    return a + b
-
-
-def q_mul(a, b):
-    return a * b
-
-
-def q_neg(a):
-    return -a
-
-
-def q_cmp(a, b):
-    """Cross-multiplication order: m/n <= k/l iff m*l <= k*n."""
-    return a._cmp(b)
-
-
 def _parse_ratio(text):
     """The unreduced numerator and positive denominator of an 'm' or 'm/n' literal."""
     num_s, slash, den_s = text.strip().partition("/")
@@ -197,8 +171,3 @@ def q_decode(x):
     if math.gcd(abs(m), den) != 1:
         return None
     return Frac(m, den)
-
-
-def from_dyadic(d):
-    """Embed a dyadic rational into Frac."""
-    return Frac(d.num, d.den)

@@ -18,7 +18,7 @@ example 1 + w = 2 + w), so only the left-sided `lsub` is provided.
 import enum
 from functools import cmp_to_key
 
-from .errors import BudgetError, PreconditionError
+from .errors import BudgetError, PreconditionError, ZeroDivisorError
 
 MAX_EXPONENT_DEPTH = 64
 MAX_TERMS = 1 << 14
@@ -242,7 +242,7 @@ def mul(a, b):
 def ord_divmod(b, a):
     """Division with remainder: b = a*q + r with r < a; the pair is unique."""
     if not a._terms:
-        raise ZeroDivisionError("ordinal division by zero")
+        raise ZeroDivisorError("ordinal division by zero")
     (ea, ka), tb = a._terms[0], b._terms
     q_terms = []
     i = 0

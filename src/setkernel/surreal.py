@@ -13,6 +13,21 @@ The recursions run over canonical (single-element) option sets rather
 than full cut sides.  That uniformity is standard Conway theory; it is
 not proved here but the agreement with exact arithmetic is enforced by
 the test suite.
+
+Inside the Conway core each value is a sign code: one int holding a
+leading 1 and then the sign expansion, + as 1 and - as 0, so 0 is 0b1,
+1/2 (+-) is 0b110 and -3/4 (-+-) is 0b1010.  Options, order and
+simplicity are then a few bit operations (Gonshor, An Introduction to
+the Theory of Surreal Numbers, ch. 3): an option drops the last + or -
+and every sign after it, order is int order once a 1 is appended and
+the shorter code padded with 0s, and the simplest value between two
+codes is their longest common prefix, or a shift of the longer code
+when one is a prefix of the other.  Codes live inside the core, whose
+work already grows with the birthday, and in `from_signs` and
+`born_by`, whose input or output is as long.  A Dyadic computes its code
+from (num, k) on first use and keeps it; a result is built straight from
+its code.  The public `simplest`, `options` and `birthday` work in
+closed form on (num, k), so `birthday(Dyadic(2**100))` builds no code.
 """
 
 import itertools
@@ -25,7 +40,7 @@ class Dyadic(Frac):
     """num / 2**k; den == 1 << k.  +, - and * of two Dyadics give a Dyadic,
     with any other operand they give a Frac."""
 
-    __slots__ = ("k",)
+    __slots__ = ("k", "_code")
 
     def __init__(self, num, k=0):
         if k < 0:
@@ -36,10 +51,7 @@ class Dyadic(Frac):
         self.num = num
         self.den = 1 << k
         self.k = k
-
-    @classmethod
-    def from_int(cls, n):
-        return cls(n, 0)
+        self._code = None
 
     def __add__(self, other):
         if not isinstance(other, Dyadic):
@@ -90,16 +102,32 @@ def simplest(a, b):
     hi = min(b, default=None)
     if lo is not None and hi is not None and not lo < hi:
         raise PreconditionError(f"option sets must satisfy max(a) < min(b), got {lo} >= {hi}")
-    return Dyadic(*_simplest2(_pack(lo), _pack(hi)))
+    # the integer of least magnitude inside, if there is one
+    if (lo is None or lo.num < 0) and (hi is None or hi.num > 0):
+        return ZERO
+    if hi is None or (lo is not None and lo.num >= 0):
+        n = (lo.num >> lo.k) + 1
+        if hi is None or n < hi:
+            return Dyadic(n)
+    else:
+        n = -((-hi.num) >> hi.k) - 1
+        if lo is None or lo < n:
+            return Dyadic(n)
+    # lo and hi lie in one unit interval: at a scale where both are even
+    # integers, the answer is the integer in (lo, hi) with the most
+    # trailing zeros, i.e. hi - 1 cut below the top bit where it and lo differ
+    s = max(lo.k, hi.k) + 1
+    low = lo.num << (s - lo.k)
+    top = (hi.num << (s - hi.k)) - 1
+    return Dyadic(top & -(1 << ((low ^ top).bit_length() - 1)), s)
 
 
 def options(x):
     """Canonical minimal options; simplest(*options(x)) == x."""
-    return tuple(frozenset(() if o is None else (Dyadic(*o),)) for o in _options2((x.num, x.k)))
-
-
-def _pack(x):
-    return None if x is None else (x.num, x.k)
+    n, k = x.num, x.k
+    if k:
+        return frozenset([Dyadic(n - 1, k)]), frozenset([Dyadic(n + 1, k)])
+    return frozenset([Dyadic(n - 1)] if n > 0 else ()), frozenset([Dyadic(n + 1)] if n < 0 else ())
 
 
 _NEG_CACHE = {}
@@ -111,98 +139,81 @@ def clear_caches():
     _NEG_CACHE.clear()
     _ADD_CACHE.clear()
     _MUL_CACHE.clear()
-    _OPT_CACHE.clear()
 
 
 def cache_sizes():
     return len(_ADD_CACHE), len(_MUL_CACHE), len(_NEG_CACHE)
 
 
-# The recursions below run on plain (num, k) pairs with flat tuple-keyed
-# caches: the option grids of large intermediate values (products reach
-# birthdays in the hundreds) make object overhead the dominant cost.
+def _code(x):
+    """The sign code of a Dyadic, from (num, k) in closed form on first use."""
+    c = x._code
+    if c is None:
+        m, k = abs(x.num), x.k
+        # an integer m is m pluses; a + f with 0 < f < 1 is a + 1 pluses, a
+        # minus, then f's binary digits after the first as signs, less the last
+        c = (((1 << ((m >> k) + 2)) - 1) << k) | ((m >> 1) & ((1 << (k - 1)) - 1)) if k else (2 << m) - 1
+        if x.num < 0:
+            c ^= (1 << (c.bit_length() - 1)) - 1
+        x._code = c
+    return c
 
 
-def _norm2(num, k):
-    while k and not num & 1:
-        num >>= 1
-        k -= 1
-    if num == 0:
-        k = 0
-    return num, k
+_new = object.__new__
 
 
-_OPT_CACHE = {}
+def _from_code(c):
+    """The Dyadic with sign code c, built without normalising."""
+    n = c.bit_length() - 1
+    h = 1 << n
+    neg = not c & (h >> 1)
+    p = c ^ (h - 1) if neg else c  # the code of |x|
+    # |x|'s last minus lies z signs from the end: z is k, and the signs
+    # after that minus are num's low bits
+    z = (~p & (h - 1)).bit_length()
+    num = ((n - z - 1) << z) | (((p << 1) | 1) & ((1 << z) - 1)) if z else n
+    x = _new(Dyadic)
+    x.num = -num if neg else num
+    x.den = 1 << z
+    x.k = z
+    x._code = c
+    return x
 
 
-def _options2(v):
-    """Canonical option values of a packed (num, k) pair, each a pair or None."""
-    hit = _OPT_CACHE.get(v)
-    if hit is not None:
-        return hit
-    num, k = v
-    if k == 0:
-        if num == 0:
-            out = (None, None)
-        elif num > 0:
-            out = ((num - 1, 0), None)
-        else:
-            out = (None, (num + 1, 0))
-    else:
-        out = (_norm2(num - 1, k), _norm2(num + 1, k))
-    _OPT_CACHE[v] = out
-    return out
+def _lt(a, b):
+    """Value order on two sign codes: append a 1, pad the shorter with 0s."""
+    a = (a << 1) | 1
+    b = (b << 1) | 1
+    n = a.bit_length() - b.bit_length()
+    return a < b << n if n >= 0 else a << -n < b
 
 
-def _cmp2(a, b):
-    k = a[1] if a[1] > b[1] else b[1]
-    x = a[0] << (k - a[1])
-    y = b[0] << (k - b[1])
-    return (x > y) - (x < y)
+def _simplest(lo, hi):
+    """The earliest-born code strictly between codes lo < hi; 0 is unbounded."""
+    if not lo:
+        if not hi:
+            return 1
+        lo = 1 << (hi.bit_length() + 1)  # two minuses longer than hi: below it
+    elif not hi:
+        hi = (4 << lo.bit_length()) - 1  # two pluses longer than lo: above it
+    n = lo.bit_length() - hi.bit_length()
+    if n > 0:
+        t = lo >> n
+        if t == hi:  # lo is hi, a minus, then r: stop before the first minus of r
+            u = ~lo & ((1 << (n - 1)) - 1)
+            return lo >> u.bit_length() if u else (lo << 1) | 1
+        return t >> (t ^ hi).bit_length()  # the longest common prefix
+    t = hi >> -n
+    if t == lo:  # hi is lo, a plus, then r: stop before the first plus of r
+        r = hi & ((1 << (-n - 1)) - 1)
+        return hi >> r.bit_length() if r else hi << 1
+    return t >> (t ^ lo).bit_length()
 
 
-def _simplest2(lo, hi):
-    """Packed-pair simplicity: earliest-born value strictly inside (lo, hi)."""
-    if lo is None:
-        if hi is None:
-            return (0, 0)
-        hn, hk = hi
-        if hn > 0:
-            return (0, 0)
-        return (-((-hn) >> hk) - 1, 0)
-    if hi is None:
-        ln, lk = lo
-        if ln < 0:
-            return (0, 0)
-        return ((ln >> lk) + 1, 0)
-    ln, lk = lo
-    hn, hk = hi
-    if ln < 0 < hn:
-        return (0, 0)
-    if ln >= 0:
-        n = (ln >> lk) + 1
-        if _cmp2((n, 0), hi) < 0:
-            return (n, 0)
-    else:
-        n = -((-hn) >> hk) - 1
-        if _cmp2(lo, (n, 0)) < 0:
-            return (n, 0)
-    # bisect the enclosing unit interval at a fixed scale: the answer has
-    # k <= max(lk, hk) + 1, so every midpoint stays an integer at scale s
-    fn = ln >> lk
-    s = (lk if lk > hk else hk) + 1
-    lsc = ln << (s - lk)
-    hsc = hn << (s - hk)
-    a = fn << s
-    b = a + (1 << s)
-    while True:
-        m = (a + b) >> 1
-        if m <= lsc:
-            a = m
-        elif m >= hsc:
-            b = m
-        else:
-            return _norm2(m, s)
+def _options(c):
+    """The left and right option codes of code c, 0 where there is none: c
+    less its last + or - and every sign after it.  _add_core inlines both."""
+    return c >> (c & -c).bit_length(), c >> ((c + 1) & ~c).bit_length()
 
 
 def _neg_core(v):
@@ -212,18 +223,16 @@ def _neg_core(v):
         return hit
     stack = [v]
     while stack:
-        key = stack[-1]
-        if key in cache:
+        c = stack[-1]
+        if c in cache:
             stack.pop()
             continue
-        left, right = _options2(key)
-        missing = [o for o in (left, right) if o is not None and o not in cache]
+        left, right = _options(c)
+        missing = [o for o in (left, right) if o and o not in cache]
         if missing:
             stack.extend(missing)
             continue
-        lo = cache[right] if right is not None else None
-        hi = cache[left] if left is not None else None
-        cache[key] = _simplest2(lo, hi)
+        cache[c] = _simplest(cache[right] if right else 0, cache[left] if left else 0)
         stack.pop()
     return cache[v]
 
@@ -234,8 +243,58 @@ def _add_core(a, b):
     out = cache.get(root)
     if out is not None:
         return out
-    opts = _options2
     get = cache.get
+    stack = [root]
+    push = stack.append
+    while stack:
+        key = stack[-1]
+        if key in cache:
+            stack.pop()
+            continue
+        x, y = key
+        depth = len(stack)
+        # the left options x^L + y and x + y^L, the right options x^R + y and x + y^R
+        lx = x >> (x & -x).bit_length()
+        if lx:
+            k = (lx, y) if lx <= y else (y, lx)
+            lx = get(k)
+            if lx is None:
+                push(k)
+        ly = y >> (y & -y).bit_length()
+        if ly:
+            k = (x, ly) if x <= ly else (ly, x)
+            ly = get(k)
+            if ly is None:
+                push(k)
+        rx = x >> ((x + 1) & ~x).bit_length()
+        if rx:
+            k = (rx, y) if rx <= y else (y, rx)
+            rx = get(k)
+            if rx is None:
+                push(k)
+        ry = y >> ((y + 1) & ~y).bit_length()
+        if ry:
+            k = (x, ry) if x <= ry else (ry, x)
+            ry = get(k)
+            if ry is None:
+                push(k)
+        if len(stack) > depth:
+            continue
+        if lx and ly and _lt(lx, ly):
+            lx = ly
+        if rx and ry and _lt(ry, rx):
+            rx = ry
+        cache[key] = _simplest(lx or ly, rx or ry)
+        stack.pop()
+    return cache[root]
+
+
+def _mul_core(a, b):
+    cache = _MUL_CACHE
+    root = (a, b) if a <= b else (b, a)
+    out = cache.get(root)
+    if out is not None:
+        return out
     stack = [root]
     while stack:
         key = stack[-1]
@@ -243,83 +302,40 @@ def _add_core(a, b):
             stack.pop()
             continue
         x, y = key
-        xl, xr = opts(x)
-        yl, yr = opts(y)
-        cands = []
-        if xl is not None:
-            cands.append((xl, y) if xl <= y else (y, xl))
-        if yl is not None:
-            cands.append((x, yl) if x <= yl else (yl, x))
-        n_lo = len(cands)
-        if xr is not None:
-            cands.append((xr, y) if xr <= y else (y, xr))
-        if yr is not None:
-            cands.append((x, yr) if x <= yr else (yr, x))
-        vals = [get(c) for c in cands]
-        if None in vals:
-            stack.extend(c for c, v in zip(cands, vals) if v is None)
+        xl, xr = _options(x)
+        yl, yr = _options(y)
+        # x^L y^L and x^R y^R give left options, x^L y^R and x^R y^L right
+        # ones, each as xo*y + x*yo - xo*yo from the three products below
+        parts = [
+            [(p, q) if p <= q else (q, p) for p, q in ((xo, y), (x, yo), (xo, yo))] if xo and yo else ()
+            for xo, yo in ((xl, yl), (xr, yr), (xl, yr), (xr, yl))
+        ]
+        missing = [k for t in parts for k in t if k not in cache]
+        if missing:
+            stack.extend(missing)
             continue
-        lo = None
-        for v in vals[:n_lo]:
-            if lo is None or _cmp2(v, lo) > 0:
-                lo = v
-        hi = None
-        for v in vals[n_lo:]:
-            if hi is None or _cmp2(v, hi) < 0:
-                hi = v
-        cache[key] = _simplest2(lo, hi)
+        v = [_add_core(_add_core(cache[t[0]], cache[t[1]]), _neg_core(cache[t[2]])) if t else 0 for t in parts]
+        lo = v[1] if v[0] and v[1] and _lt(v[0], v[1]) else v[0] or v[1]
+        hi = v[3] if v[2] and v[3] and _lt(v[3], v[2]) else v[2] or v[3]
+        cache[key] = _simplest(lo, hi)
         stack.pop()
     return cache[root]
 
 
-def _mul_core(x, y):
-    cache = _MUL_CACHE
-    key = (x, y) if x <= y else (y, x)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    xl, xr = _options2(x)
-    yl, yr = _options2(y)
-
-    def part(xo, yo):
-        # xo*y + x*yo - xo*yo, every piece via the recursive operations
-        p = _add_core(_mul_core(xo, y), _mul_core(x, yo))
-        return _add_core(p, _neg_core(_mul_core(xo, yo)))
-
-    lo = None
-    for xo, yo in ((xl, yl), (xr, yr)):
-        if xo is not None and yo is not None:
-            v = part(xo, yo)
-            if lo is None or _cmp2(v, lo) > 0:
-                lo = v
-    hi = None
-    for xo, yo in ((xl, yr), (xr, yl)):
-        if xo is not None and yo is not None:
-            v = part(xo, yo)
-            if hi is None or _cmp2(v, hi) < 0:
-                hi = v
-    out = _simplest2(lo, hi)
-    cache[key] = out
-    return out
-
-
 def conway_neg(x):
     """-x by the recursion -x = (-right options) |v (-left options)."""
-    n, k = _neg_core((x.num, x.k))
-    return Dyadic(n, k)
+    return _from_code(_neg_core(x._code or _code(x)))
 
 
 def conway_add(x, y):
     """x + y by the recursion over shifted options of either summand."""
-    n, k = _add_core((x.num, x.k), (y.num, y.k))
-    return Dyadic(n, k)
+    return _from_code(_add_core(x._code or _code(x), y._code or _code(y)))
 
 
 def conway_mul(x, y):
     """x * y by the four-part option formula; the option products and the
     sums and negations combining them all run through the recursions."""
-    n, k = _mul_core((x.num, x.k), (y.num, y.k))
-    return Dyadic(n, k)
+    return _from_code(_mul_core(x._code or _code(x), y._code or _code(y)))
 
 
 class SignExpansion:
@@ -375,34 +391,14 @@ def to_signs(x):
 
 
 def from_signs(s):
-    s = SignExpansion(s)
-    lo = []
-    hi = []
-    z = ZERO
-    for c in s.bits:
-        if c == "1":
-            lo = [z]
-        else:
-            hi = [z]
-        z = simplest(lo, hi)
-    return z
+    return _from_code(int("1" + SignExpansion(s).bits, 2))
 
 
 def born_by(n):
     """All dyadics of birthday <= n, ascending; there are 2**(n+1) - 1."""
-    out = [ZERO]
-    for _ in range(n):
-        new = [simplest([], [out[0]])]
-        for left, right in zip(out, out[1:]):
-            new.append(simplest([left], [right]))
-        new.append(simplest([out[-1]], []))
-        woven = []
-        for fresh, old in zip(new, out):
-            woven.append(fresh)
-            woven.append(old)
-        woven.append(new[-1])
-        out = woven
-    return out
+    # the codes of up to n + 1 bits, in value order: _lt with every code padded to n + 2 bits
+    codes = sorted(range(1, 2 << n), key=lambda c: ((c << 1) | 1) << (n + 1 - c.bit_length()))
+    return [_from_code(c) for c in codes]
 
 
 def enumerate_dyadics():

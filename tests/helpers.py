@@ -2,8 +2,9 @@
 
 The oracles here deliberately avoid the production code paths they
 check: set closures go through Python sets, subset enumeration through
-itertools, simplicity through a birthday-ordered pool scan, and ordinal
-identities through reconstruction.
+itertools, simplicity through a birthday-ordered pool scan, sign codes
+through a Fraction walk of the birth tree, and ordinal identities
+through reconstruction.
 """
 
 import itertools
@@ -122,3 +123,47 @@ def simplest_oracle(a, b, days):
         return []
     best = min(days[z] for z in between)
     return sorted(z for z in between if days[z] == best)
+
+
+
+def sign_walk(code):
+    """The value of a sign code as a Fraction, and the codes of its left
+    and right options (0 for none).
+
+    A sign code is a leading 1 and then the signs, + as 1 and - as 0.  The
+    walk goes down the birth tree from 0 in plain Fraction arithmetic: the
+    options are the nearest ancestors below and above, and each step lands
+    halfway to them, or one step on where there is none.  Independent of
+    the surreal module.
+    """
+    from fractions import Fraction
+
+    v, lo, hi, lo_code, hi_code = Fraction(0), None, None, 0, 0
+    for i in range(code.bit_length() - 2, -1, -1):
+        if code >> i & 1:
+            lo, lo_code = v, code >> (i + 1)
+        else:
+            hi, hi_code = v, code >> (i + 1)
+        v = lo + 1 if hi is None else hi - 1 if lo is None else (lo + hi) / 2
+    return v, lo_code, hi_code
+
+
+def birth_tree(max_day):
+    """sign_walk of every code born by max_day."""
+    return {code: sign_walk(code) for code in range(1, 2 << max_day)}
+
+
+def simplest_walk(lo, hi):
+    """The sign code of the first birth-tree node strictly between the
+    Fractions lo < hi (None for no bound), walking down from 0."""
+    from fractions import Fraction
+
+    code, v, below, above = 1, Fraction(0), None, None
+    while True:
+        if lo is not None and v <= lo:
+            code, below = (code << 1) | 1, v
+        elif hi is not None and v >= hi:
+            code, above = code << 1, v
+        else:
+            return code
+        v = below + 1 if above is None else above - 1 if below is None else (below + above) / 2

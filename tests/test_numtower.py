@@ -3,22 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from setkernel import hfset, surreal
-from setkernel.errors import PreconditionError
-from setkernel.numtower import (
-    Frac,
-    from_dyadic,
-    parse_frac,
-    q_add,
-    q_cmp,
-    q_decode,
-    q_encode,
-    q_make,
-    q_mul,
-    q_neg,
-    z_decode,
-    z_encode,
-)
+from setkernel import hfset, ordinal, surreal
+from setkernel.cli import Session
+from setkernel.errors import KernelError, PreconditionError, ZeroDivisorError
+from setkernel.numtower import Frac, parse_frac, q_decode, q_encode, z_decode, z_encode
 
 
 def as_fraction(a):
@@ -49,22 +37,33 @@ def test_negatives_disjoint_from_naturals():
 
 
 def test_q_make():
-    assert q_make(2, 4) == Frac(1, 2)
-    assert q_make(4, 2) == Frac(2)
-    assert q_make(4, 2).is_integer()
-    assert q_make(0, 7) == Frac(0)
-    assert q_make(-6, 4) == Frac(-3, 2)
+    assert Frac(2, 4) == Frac(1, 2)
+    assert Frac(4, 2) == Frac(2)
+    assert Frac(4, 2).is_integer()
+    assert Frac(0, 7) == Frac(0)
+    assert Frac(-6, 4) == Frac(-3, 2)
     with pytest.raises(ZeroDivisionError):
-        q_make(1, 0)
-    with pytest.raises(PreconditionError):
-        q_make(1, -2)
+        Frac(1, 0)
+    # the sign of a negative denominator moves to the numerator
+    assert (Frac(1, -2).num, Frac(1, -2).den) == (-1, 2)
+
+
+def test_zero_divisor_is_a_typed_error():
+    for num in (1, 0, -3):
+        with pytest.raises(ZeroDivisorError, match="zero denominator") as info:
+            Frac(num, 0)
+        assert isinstance(info.value, KernelError) and isinstance(info.value, ZeroDivisionError)
+    with pytest.raises(ZeroDivisorError):
+        ordinal.ord_divmod(ordinal.OMEGA, ordinal.ZERO)
+    # the CLI reports both as evaluation errors, as before
+    assert Session().outcome(":divmod w 0") == (1, "ordinal division by zero")
 
 
 def test_q_arithmetic_examples():
-    assert q_add(Frac(1, 2), Frac(1, 3)) == Frac(5, 6)
-    assert q_mul(Frac(7, 3), Frac(1)) == Frac(7, 3)
-    assert q_cmp(Frac(-1, 2), Frac(1, 3)) < 0
-    assert q_neg(Frac(2, 5)) == Frac(-2, 5)
+    assert Frac(1, 2) + Frac(1, 3) == Frac(5, 6)
+    assert Frac(7, 3) * Frac(1) == Frac(7, 3)
+    assert Frac(-1, 2) < Frac(1, 3)
+    assert -Frac(2, 5) == Frac(-2, 5)
 
 
 def test_field_and_order_laws_random():
@@ -75,21 +74,21 @@ def test_field_and_order_laws_random():
 
     for _ in range(1000):
         x, y, z = rand_frac(), rand_frac(), rand_frac()
-        assert q_add(x, q_add(y, z)) == q_add(q_add(x, y), z)
-        assert q_add(x, y) == q_add(y, x)
-        assert q_add(x, Frac(0)) == x
-        assert q_add(x, q_neg(x)) == Frac(0)
-        assert q_mul(x, q_mul(y, z)) == q_mul(q_mul(x, y), z)
-        assert q_mul(x, y) == q_mul(y, x)
-        assert q_mul(x, Frac(1)) == x
+        assert x + (y + z) == (x + y) + z
+        assert x + y == y + x
+        assert x + Frac(0) == x
+        assert x + (-x) == Frac(0)
+        assert x * (y * z) == (x * y) * z
+        assert x * y == y * x
+        assert x * Frac(1) == x
         if x != Frac(0):
             inv = Frac(x.den, x.num) if x.num > 0 else Frac(-x.den, -x.num)
-            assert q_mul(x, inv) == Frac(1)
-        assert q_mul(x, q_add(y, z)) == q_add(q_mul(x, y), q_mul(x, z))
-        if q_cmp(x, y) < 0:
-            assert q_cmp(q_add(x, z), q_add(y, z)) < 0
-        if q_cmp(Frac(0), x) < 0 and q_cmp(Frac(0), y) < 0:
-            assert q_cmp(Frac(0), q_mul(x, y)) < 0
+            assert x * inv == Frac(1)
+        assert x * (y + z) == x * y + x * z
+        if x < y:
+            assert x + z < y + z
+        if Frac(0) < x and Frac(0) < y:
+            assert Frac(0) < x * y
 
 
 def test_arithmetic_matches_fractions_module():
@@ -135,9 +134,10 @@ def test_dyadic_coherence():
     pool = surreal.born_by(9)
     for _ in range(500):
         x, y = rng.choice(pool), rng.choice(pool)
-        assert from_dyadic(x + y) == q_add(from_dyadic(x), from_dyadic(y))
-        assert from_dyadic(x * y) == q_mul(from_dyadic(x), from_dyadic(y))
-        assert q_cmp(from_dyadic(x), from_dyadic(y)) == ((y < x) - (x < y))
+        fx, fy = Frac(x.num, x.den), Frac(y.num, y.den)
+        assert Frac((x + y).num, (x + y).den) == fx + fy
+        assert Frac((x * y).num, (x * y).den) == fx * fy
+        assert (fx > fy) - (fx < fy) == ((y < x) - (x < y))
 
 
 def test_parse_frac():

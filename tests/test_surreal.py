@@ -1,6 +1,7 @@
 import itertools
 import operator
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,8 +11,14 @@ from setkernel.numtower import Frac, parse_frac
 from setkernel.surreal import (
     Dyadic,
     SignExpansion,
+    _code,
+    _from_code,
+    _lt,
+    _options,
+    _simplest,
     birthday,
     born_by,
+    cache_sizes,
     clear_caches,
     conway_add,
     conway_mul,
@@ -24,7 +31,7 @@ from setkernel.surreal import (
     to_signs,
 )
 
-from helpers import birthday_oracle_pool, frac_value, simplest_oracle
+from helpers import birth_tree, birthday_oracle_pool, frac_value, sign_walk, simplest_oracle, simplest_walk
 
 D = Dyadic
 HALF = D(1, 1)
@@ -231,3 +238,65 @@ def test_parse_dyadic_reads_only_power_of_two_denominators():
     with pytest.raises(PreconditionError):
         parse_dyadic("3/6")
     assert parse_dyadic("6/8") == D(3, 2) and type(parse_dyadic("6/8")) is Dyadic
+
+
+def test_code_options_order_and_simplest_against_birth_tree_walk():
+    tree = birth_tree(8)
+    for c, (_, left, right) in tree.items():
+        assert _options(c) == (left, right)
+    rank = {c: i for i, c in enumerate(sorted(tree, key=lambda c: tree[c][0]))}
+    for a in tree:
+        for b in tree:
+            assert _lt(a, b) == (rank[a] < rank[b])
+    for c, (v, left, right) in tree.items():
+        assert _simplest(left, right) == c
+        assert _simplest(c, 0) == simplest_walk(v, None)
+        assert _simplest(0, c) == simplest_walk(None, v)
+    bounds = [0] + [c for c in tree if c < 1 << 7]  # no bound, then every code born by day 6
+    for a in bounds:
+        for b in bounds:
+            if not (a and b) or rank[a] < rank[b]:
+                assert _simplest(a, b) == simplest_walk(tree[a][0] if a else None, tree[b][0] if b else None)
+
+
+def test_code_simplest_matches_public_simplest():
+    pool = born_by(7)
+    codes = [_code(D(d.num, d.k)) for d in pool]
+    for a, ca in zip(pool, codes):
+        assert _from_code(_simplest(0, ca)) == simplest([], [a])
+        assert _from_code(_simplest(ca, 0)) == simplest([a], [])
+        for b, cb in zip(pool, codes):
+            if a < b:
+                assert _from_code(_simplest(ca, cb)) == simplest([a], [b])
+
+
+def test_dyadic_code_round_trip():
+    for c, (v, _, _) in birth_tree(12).items():
+        d = D(v.numerator, v.denominator.bit_length() - 1)
+        assert d._code is None and _code(d) == c and d._code == c
+        e = _from_code(c)
+        assert type(e) is Dyadic and (e.num, e.den, e.k, e._code) == (d.num, d.den, d.k, c)
+    edges = [D(0), D(-1), D(7), D(-7), D(-99), D(1, 1), D(-1, 1), D(3, 1), D(-3, 1), D(-5, 3), D(1, 100),
+             D(-(1 << 80) - 1, 80), D((3 << 60) + 1, 61), D(-((1 << 70) - 1), 70)]
+    for d in edges:
+        c = _code(D(d.num, d.k))
+        assert sign_walk(c)[0] == frac_value(d) and c.bit_length() - 1 == birthday(d)
+        e = _from_code(c)
+        assert (e.num, e.den, e.k) == (d.num, d.den, d.k)
+
+
+def test_conway_mul_runs_without_recursion():
+    assert sys.getrecursionlimit() <= 1000 and conway_mul(D(1200), D(1)) == D(1200)
+    assert conway_mul(D(1), D(-1200)) == D(-1200)
+
+
+def test_mul_grid_fills_the_same_memo_tables():
+    # the recursion tree, not its representation: a shortcut past the
+    # recursion would leave fewer entries
+    clear_caches()
+    pool = born_by(5)
+    for x in pool:
+        for y in pool:
+            assert conway_mul(x, y) == x * y
+    assert cache_sizes() == (11928, 2016, 167)
+    clear_caches()
