@@ -13,9 +13,20 @@ the elements of V_r, whose codes are 0 ... |V_r| - 1, so a lower rank
 means a lower code.  Sets of equal rank compare like their element lists
 read largest-first.
 
+Every node is built by `_node` from a strictly ascending element tuple.
+`HFSet(...)`, `|`, `union`, `tc` and `parse_set` sort their input first.
+The builders that know their order skip the sort: `ackermann_decode` (a
+code's set bits, read upwards, are its elements' codes in ascending
+order), `power` (a subset's code grows with its mask), `vn_nat` (n is
+larger than each of its elements), `kpair` ({x} is a proper subset of
+{x,y}), `singleton`, `pair` (one comparison), `v_stage`, and `&` and `-`
+(they filter an ascending tuple).
+
 The intern table maps element tuples to weak references and never keeps a
-node alive; a node removes its own entry when it dies.  The table is not
-locked, so build sets from one thread at a time.
+node alive; a node removes its own entry when it dies.  Only `_V4`, the
+16 sets of rank < 4 (the empty set among them) that decoding bottoms out
+in, is kept alive.  The table is not locked, so build sets from one
+thread at a time.
 """
 
 import weakref
@@ -56,18 +67,8 @@ class HFSet:
 
     def __new__(cls, elements=()):
         elems = dict.fromkeys(elements)
-        for e in elems:
-            if not isinstance(e, HFSet):
-                raise TypeError(f"HFSet elements must be HFSet, got {type(e).__name__}")
-        elems = tuple(sorted(elems, key=_SORT_KEY))
-        ref = _INTERN.get(elems)
-        node = None if ref is None else ref()
-        if node is None:
-            node = object.__new__(cls)
-            node._elems = elems
-            node._rank = elems[-1]._rank + 1 if elems else 0
-            _INTERN[elems] = weakref.ref(node)
-        return node
+        _check(elems)
+        return _node(tuple(sorted(elems, key=_SORT_KEY)))
 
     def __del__(self, _intern=_INTERN):
         # On the last decref CPython runs this before it clears weak
@@ -119,11 +120,12 @@ class HFSet:
     def __or__(self, other):
         return HFSet(self._elems + other._elems)
 
+    # & and - filter an ascending tuple, which stays ascending
     def __and__(self, other):
-        return HFSet(e for e in self._elems if e in other)
+        return _node(tuple([e for e in self._elems if e in other]))
 
     def __sub__(self, other):
-        return HFSet(e for e in self._elems if e not in other)
+        return _node(tuple([e for e in self._elems if e not in other]))
 
     def issubset(self, other):
         return all(e in other for e in self._elems)
@@ -141,7 +143,31 @@ class HFSet:
         return f"HFSet({self})"
 
 
-_EMPTY = HFSet()
+def _check(elems):
+    for e in elems:
+        if not isinstance(e, HFSet):
+            raise TypeError(f"HFSet elements must be HFSet, got {type(e).__name__}")
+
+
+def _node(elems):
+    """The one node for `elems`, a strictly ascending tuple of HFSets."""
+    ref = _INTERN.get(elems)
+    node = None if ref is None else ref()
+    if node is None:
+        node = object.__new__(HFSet)
+        node._elems = elems
+        node._rank = elems[-1]._rank + 1 if elems else 0
+        _INTERN[elems] = weakref.ref(node)
+    return node
+
+
+# V_4, the 16 sets of rank < 4, indexed by code: the bits of a code read
+# upwards name its elements' codes in ascending order.  Every decode ends
+# in this table, which keeps its 16 nodes alive.
+_V4 = ()
+for _code in range(16):
+    _V4 += (_node(tuple(_V4[k] for k in range(4) if _code >> k & 1)),)
+_EMPTY = _V4[0]
 
 
 def _bottom_up(x):
@@ -162,36 +188,37 @@ def empty():
 
 
 def singleton(x):
-    return HFSet((x,))
+    _check((x,))
+    return _node((x,))
 
 
 def pair(x, y):
     """Unordered pair {x, y}; collapses to a singleton when x = y."""
-    return HFSet((x, y))
+    if x is y:
+        return singleton(x)
+    _check((x, y))
+    return _node((x, y) if _cmp(x, y) < 0 else (y, x))
 
 
 def kpair(x, y):
     """Kuratowski ordered pair {{x},{x,y}}."""
-    return HFSet((singleton(x), pair(x, y)))
+    # {x} is a proper subset of {x,y}, so its code is the smaller one
+    sx = singleton(x)
+    return _node((sx,) if x is y else (sx, pair(x, y)))
 
 
 def kpair_split(z):
     """Invert kpair. Returns (x, y) or None when z is not an ordered pair."""
     elems = z._elems
     if len(elems) == 1:
-        inner = elems[0]
-        if len(inner) == 1:
-            x = inner._elems[0]
-            return (x, x)
-        return None
+        inner = elems[0]._elems
+        return (inner[0], inner[0]) if len(inner) == 1 else None
     if len(elems) != 2:
         return None
-    for s, p in ((elems[0], elems[1]), (elems[1], elems[0])):
-        if len(s) != 1:
-            continue
+    s, p = elems  # {x} comes before {x,y}
+    if len(s) == 1 and len(p) == 2 and s._elems[0] in p:
         x = s._elems[0]
-        if len(p) == 2 and x in p:
-            return (x, p._elems[0] if p._elems[1] is x else p._elems[1])
+        return (x, p._elems[0] if p._elems[1] is x else p._elems[1])
     return None
 
 
@@ -202,20 +229,13 @@ def triple(x, y, z):
 
 def triple_split(t):
     outer = kpair_split(t)
-    if outer is None:
-        return None
-    inner = kpair_split(outer[0])
-    if inner is None:
-        return None
-    return (inner[0], inner[1], outer[1])
+    inner = outer and kpair_split(outer[0])
+    return inner and (inner[0], inner[1], outer[1])
 
 
 def union(x):
     """Big union of the elements of x."""
-    out = []
-    for e in x:
-        out.extend(e._elems)
-    return HFSet(out)
+    return HFSet(e for s in x for e in s._elems)
 
 
 def inter(x, y):
@@ -232,11 +252,12 @@ def power(x, max_elements=None):
     n = len(x)
     if 1 << n > budget:
         raise BudgetError(f"power set would have 2^{n} elements (budget {budget})")
-    elems = x._elems
-    subsets = []
-    for mask in range(1 << n):
-        subsets.append(HFSet(elems[i] for i in range(n) if mask >> i & 1))
-    return HFSet(subsets)
+    # subsets[mask] holds the elements at the set bits of mask, ascending;
+    # with ascending elements a subset's code grows with its mask
+    subsets = [()]
+    for e in x._elems:
+        subsets += [s + (e,) for s in subsets]
+    return _node(tuple(map(_node, subsets)))
 
 
 def tc(x):
@@ -250,7 +271,8 @@ def vn_nat(n):
         raise PreconditionError("vn_nat needs a nonnegative integer")
     v = _EMPTY
     for _ in range(n):
-        v = v | singleton(v)
+        # v is larger than each of its elements, so it goes last
+        v = _node(v._elems + (v,))
     return v
 
 
@@ -279,10 +301,8 @@ def v_stage(n):
         raise PreconditionError("v_stage needs a nonnegative integer")
     if n > V_STAGE_CAP:
         raise BudgetError(f"v_stage({n}) exceeds the materialization cap {V_STAGE_CAP}")
-    v = _EMPTY
-    for _ in range(n):
-        v = power(v)
-    return v
+    # V_n is the set of the first |V_n| codes
+    return _node(_V4[:v_size(n)])
 
 
 V_SIZE_CAP = 6
@@ -309,44 +329,21 @@ def _g1(x, y):
     return x - y
 
 
-def _g2(x, y):
-    return pair(x, y)
-
-
 def _g3(x, y):
     # membership relation restricted to x cross y
-    out = []
-    for u in x:
-        for v in y:
-            if u in v:
-                out.append(kpair(u, v))
-    return HFSet(out)
+    return HFSet(kpair(u, v) for u in x for v in y if u in v)
 
 
 def _g4(x, y):
-    out = []
-    for e in x:
-        uv = kpair_split(e)
-        if uv is not None:
-            out.append(kpair(uv[1], uv[0]))
-    return HFSet(out)
+    return HFSet(kpair(uv[1], uv[0]) for uv in map(kpair_split, x) if uv is not None)
 
 
 def _g5(x, y):
-    out = []
-    for e in x:
-        uv = kpair_split(e)
-        if uv is not None:
-            out.append(uv[0])
-    return HFSet(out)
+    return HFSet(uv[0] for uv in map(kpair_split, x) if uv is not None)
 
 
 def _g6(x, y):
-    out = []
-    for u in x:
-        for v in y:
-            out.append(kpair(u, v))
-    return HFSet(out)
+    return HFSet(kpair(u, v) for u in x for v in y)
 
 
 def _g7(x, y):
@@ -355,15 +352,10 @@ def _g7(x, y):
 
 def _g8(x, y):
     # cycles every triple <u,v,w> in x to <w,u,v>; non-triples drop out
-    out = []
-    for e in x:
-        uvw = triple_split(e)
-        if uvw is not None:
-            out.append(triple(uvw[2], uvw[0], uvw[1]))
-    return HFSet(out)
+    return HFSet(triple(t[2], t[0], t[1]) for t in map(triple_split, x) if t is not None)
 
 
-_GOEDEL_OPS = (_g0, _g1, _g2, _g3, _g4, _g5, _g6, _g7, _g8)
+_GOEDEL_OPS = (_g0, _g1, pair, _g3, _g4, _g5, _g6, _g7, _g8)
 
 
 def goedel_op(i, x, y):
@@ -375,12 +367,7 @@ def goedel_op(i, x, y):
 
 def goedel_ext(x):
     """One extension step: all op results over ordered element pairs of x."""
-    out = []
-    for u in x:
-        for v in x:
-            for op in _GOEDEL_OPS:
-                out.append(op(u, v))
-    return HFSet(out)
+    return HFSet(op(u, v) for u in x for v in x for op in _GOEDEL_OPS)
 
 
 def goedel_hull(x, n, max_elements=None):
@@ -489,17 +476,17 @@ def ackermann_decode(n):
         s = memo.get(m)
         if s is None:
             elems = []
-            rest, k = m, 0
+            rest = m
             while rest:
-                if rest & 1:
-                    elems.append(rec(k))
-                rest >>= 1
-                k += 1
-            s = HFSet(elems)
-            memo[m] = s
+                # set bits read upwards give the element codes ascending
+                low = rest & -rest
+                k = low.bit_length() - 1
+                elems.append(_V4[k] if k < 16 else rec(k))
+                rest ^= low
+            s = memo[m] = _node(tuple(elems))
         return s
 
-    return rec(n)
+    return _V4[n] if n < 16 else rec(n)
 
 
 def parse_set(text):

@@ -10,6 +10,8 @@ coprime and n >= 2.
 """
 
 import math
+import numbers
+import sys
 
 from . import hfset
 from .errors import PreconditionError, ZeroDivisorError
@@ -36,8 +38,16 @@ class Frac:
         return self.den == 1
 
     def __hash__(self):
-        # an integral Frac equals its int, so it must hash like it
-        return hash(self.num) if self.den == 1 else hash((self.num, self.den))
+        # Python's numeric hash, so a Frac hashes like the int or Fraction
+        # it equals: |num| / den modulo the hash prime, signed like num
+        if self.den == 1:
+            return hash(self.num)
+        try:
+            h = hash(hash(abs(self.num)) * pow(self.den, -1, sys.hash_info.modulus))
+        except ValueError:  # den is a multiple of the prime: no inverse
+            h = sys.hash_info.inf
+        h = h if self.num >= 0 else -h
+        return -2 if h == -1 else h
 
     def __eq__(self, other):
         other = _coerce(other)
@@ -106,6 +116,8 @@ def _coerce(x):
         return x
     if isinstance(x, int):
         return Frac(x)
+    if isinstance(x, numbers.Rational):
+        return Frac(x.numerator, x.denominator)
     return None
 
 

@@ -2,9 +2,9 @@
 
 The oracles here deliberately avoid the production code paths they
 check: set closures go through Python sets, subset enumeration through
-itertools, simplicity through a birthday-ordered pool scan, sign codes
-through a Fraction walk of the birth tree, and ordinal identities
-through reconstruction.
+itertools, Ackermann codes through their defining sum, simplicity
+through a birthday-ordered pool scan, sign codes through a Fraction walk
+of the birth tree, and ordinal identities through reconstruction.
 """
 
 import itertools
@@ -46,6 +46,16 @@ def saturate(x):
                 seen.add(e)
                 stack.append(e)
     return HFSet(seen)
+
+
+def code_oracle(x, memo=None):
+    """Ackermann code by its definition, code(x) = sum(2 ** code(e)): a plain
+    recursion over the elements, sharing nothing with ackermann_encode or
+    the module's node walk.  `memo` may carry codes across calls."""
+    memo = {} if memo is None else memo
+    if x not in memo:
+        memo[x] = sum(2 ** code_oracle(e, memo) for e in x.elements)
+    return memo[x]
 
 
 def power_oracle(x):

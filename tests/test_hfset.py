@@ -40,7 +40,7 @@ from setkernel.hfset import (
     vn_nat,
 )
 
-from helpers import all_sets_of_rank_at_most, power_oracle, rand_hfset, saturate
+from helpers import all_sets_of_rank_at_most, code_oracle, power_oracle, rand_hfset, saturate
 
 E = empty()
 ONE = singleton(E)  # von Neumann 1
@@ -314,6 +314,44 @@ def test_element_order_ascending():
         codes = [ackermann_encode(e) for e in x]
         assert codes == sorted(codes)
         assert len(set(codes)) == len(codes)
+
+
+def test_sort_free_builders_keep_the_canonical_order():
+    # every builder that skips the sort, on inputs that reach each case
+    rng = random.Random(37)
+    codes = list(range(1 << 16)) + [rng.randrange(1 << 20) for _ in range(400)]
+    naturals = [vn_nat(n) for n in range(41)]
+    some = [ackermann_decode(rng.randrange(1 << 16)) for _ in range(40)] + naturals[:6]
+    built = [ackermann_decode(c) for c in codes] + naturals
+    built += [power(ackermann_decode(c)) for c in (0, 1, 3, 7, 11, 0b1011001, 0b11010110100100110001)]
+    built += [v_stage(n) for n in range(5)]
+    for x, y, z in zip(some, rng.sample(some, len(some)), rng.sample(some, len(some))):
+        built += [kpair(x, y), kpair(x, x), triple(x, y, z), triple(x, x, x), (x | y) & x, (x | y) - y, x - x]
+        built += [singleton(x), pair(x, y), pair(x, x)]
+    for n in range(-12, 13):
+        built += [numtower.z_encode(n)] + [numtower.q_encode(numtower.Frac(n, d)) for d in range(1, 7)]
+    # the sets of rank <= 4, built by sorting; rank(x) <= 5 exactly when
+    # every element of x is one of them, which bounds every code below
+    v5 = set(all_sets_of_rank_at_most(4))
+    memo = {}
+    for ref in list(hfset._INTERN.values()):
+        x = ref()
+        if x is not None and all(e in v5 for e in x):
+            elem_codes = [code_oracle(e, memo) for e in x]
+            assert all(a < b for a, b in zip(elem_codes, elem_codes[1:]))
+    for x in built:
+        elems = list(x)
+        rng.shuffle(elems)
+        assert HFSet(elems) is x
+    for c in codes:
+        assert code_oracle(ackermann_decode(c), memo) == c
+
+
+def test_builders_refuse_non_sets():
+    for build in (lambda: HFSet([E, 3]), lambda: singleton(3), lambda: pair(E, 3), lambda: pair(3, 3),
+                  lambda: kpair(3, E), lambda: triple(E, E, "x")):
+        with pytest.raises(TypeError):
+            build()
 
 
 def test_parse_and_print():

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -99,6 +100,28 @@ def test_arithmetic_matches_fractions_module():
         assert as_fraction(x + y) == as_fraction(x) + as_fraction(y)
         assert as_fraction(x * y) == as_fraction(x) * as_fraction(y)
         assert (x < y) == (as_fraction(x) < as_fraction(y))
+
+
+def test_frac_compares_and_hashes_like_fraction():
+    # a grid of signed m/n, integral values and denominators that are
+    # multiples of the hash prime (no inverse modulo it) included
+    prime = sys.hash_info.modulus
+    nums = list(range(-12, 13)) + [prime, -prime, 3 * prime + 1, -(10 ** 30)]
+    dens = list(range(1, 13)) + [prime, 2 * prime, prime + 1, 10 ** 20]
+    values = [Fraction(m, n) for m in nums for n in dens]
+    for q in values:
+        a = Frac(q.numerator * 3, q.denominator * 3)
+        assert hash(a) == hash(q)
+        assert a == q and q == a and not a != q
+        if q.denominator == 1:
+            assert hash(a) == hash(q.numerator)
+    rng = random.Random(151)
+    for _ in range(400):
+        q, r = rng.choice(values), rng.choice(values)
+        a = Frac(q.numerator, q.denominator)
+        assert ((a < r), (a <= r), (a > r), (a >= r), (a == r)) == ((q < r), (q <= r), (q > r), (q >= r), (q == r))
+        assert ((r < a), (r <= a), (r > a), (r >= a), (r == a)) == ((r < q), (r <= q), (r > q), (r >= q), (r == q))
+    assert len({Frac(1, 2), Fraction(1, 2), surreal.Dyadic(1, 1), Frac(2), 2, Fraction(4, 2)}) == 2
 
 
 def test_q_encode_examples():
