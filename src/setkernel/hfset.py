@@ -14,13 +14,15 @@ means a lower code.  Sets of equal rank compare like their element lists
 read largest-first.
 
 Every node is built by `_node` from a strictly ascending element tuple.
-`HFSet(...)`, `|`, `union`, `tc` and `parse_set` sort their input first.
-The builders that know their order skip the sort: `ackermann_decode` (a
-code's set bits, read upwards, are its elements' codes in ascending
-order), `power` (a subset's code grows with its mask), `vn_nat` (n is
-larger than each of its elements), `kpair` ({x} is a proper subset of
-{x,y}), `singleton`, `pair` (one comparison), `v_stage`, and `&` and `-`
-(they filter an ascending tuple).
+`HFSet(...)`, `|`, `union` and `tc` sort their input first; `parse_set`
+sorts each distinct sub-literal once per call, through a memo local to
+the call.  The builders that know their order skip the sort:
+`ackermann_decode` (a code's set bits, read upwards, are its elements'
+codes in ascending order), `power` (a subset's code grows with its
+mask), `vn_nat` (n is larger than each of its elements), `kpair` ({x} is
+a proper subset of {x,y}), `singleton`, `pair` (one comparison),
+`v_stage`, and `&` and `-` (they filter an ascending tuple).
+`goedel_ext` runs its five unary operations once per element.
 
 The intern table maps element tuples to weak references and never keeps a
 node alive; a node removes its own entry when it dies.  Only `_V4`, the
@@ -31,6 +33,7 @@ thread at a time.
 
 import weakref
 from functools import cmp_to_key
+from itertools import chain
 
 from .errors import BudgetError, ParseError, PreconditionError
 
@@ -367,7 +370,10 @@ def goedel_op(i, x, y):
 
 def goedel_ext(x):
     """One extension step: all op results over ordered element pairs of x."""
-    return HFSet(op(u, v) for u in x for v in x for op in _GOEDEL_OPS)
+    # operations 0, 4, 5, 7 and 8 read only their first argument
+    unary = (op(u, u) for u in x for op in (_g0, _g4, _g5, _g7, _g8))
+    binary = (op(u, v) for u in x for v in x for op in (_g1, pair, _g3, _g6))
+    return HFSet(chain(unary, binary))
 
 
 def goedel_hull(x, n, max_elements=None):
@@ -492,31 +498,37 @@ def ackermann_decode(n):
 def parse_set(text):
     """Parse the brace syntax, e.g. '{{},{{}}}'. Whitespace is ignored."""
     s = "".join(text.split())
-    n = len(s)
-    pos = 0
-    open_sets = []  # the elements read so far of each brace still open
-    while True:
-        # a set starts here: the whole literal or the next element
-        if pos >= n or s[pos] != "{":
-            raise ParseError("expected '{'", column=pos, expected=("{",))
-        pos += 1
-        if pos >= n or s[pos] != "}":
-            open_sets.append([])
-            continue
-        pos += 1
-        x = _EMPTY
-        # x is complete: add it to its set, closing every brace that ends here
-        while open_sets:
-            open_sets[-1].append(x)
-            if pos < n and s[pos] == ",":
-                pos += 1
-                break
-            if pos < n and s[pos] == "}":
-                pos += 1
-                x = HFSet(open_sets.pop())
-                continue
-            raise ParseError("expected ',' or '}'", column=pos, expected=(",", "}"))
-        else:
-            if pos != n:
+    read = []  # the nodes read so far of every brace still open
+    starts = []  # where each open brace's elements begin in `read`
+    built = {}  # a brace's elements as read, repeats and all -> its node
+    after = opened = False  # just after a set / just after '{'
+    for pos, c in enumerate(chain(s, (None,))):  # None is the end of the text
+        if after:
+            if not starts:
+                if c is None:
+                    return read[0]
                 raise ParseError("trailing input after set literal", column=pos)
-            return x
+            if c == ",":
+                after = False
+                continue
+            if c != "}":
+                raise ParseError("expected ',' or '}'", column=pos, expected=(",", "}"))
+        elif c == "{":
+            starts.append(len(read))
+            opened = True
+            continue
+        elif c == "}" and opened:
+            starts.pop()
+            read.append(_EMPTY)
+            after, opened = True, False
+            continue
+        else:
+            raise ParseError("expected '{'", column=pos, expected=("{",))
+        # c closes a brace that holds at least one element
+        start = starts.pop()
+        key = tuple(read[start:])
+        del read[start:]
+        x = built.get(key)
+        if x is None:
+            x = built[key] = _node(tuple(sorted(dict.fromkeys(key), key=_SORT_KEY)))
+        read.append(x)

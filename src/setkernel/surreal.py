@@ -32,7 +32,7 @@ closed form on (num, k), so `birthday(Dyadic(2**100))` builds no code.
 
 import itertools
 
-from .errors import PreconditionError
+from .errors import BudgetError, PreconditionError
 from .numtower import Frac, _parse_ratio
 
 
@@ -152,7 +152,10 @@ def _code(x):
         m, k = abs(x.num), x.k
         # an integer m is m pluses; a + f with 0 < f < 1 is a + 1 pluses, a
         # minus, then f's binary digits after the first as signs, less the last
-        c = (((1 << ((m >> k) + 2)) - 1) << k) | ((m >> 1) & ((1 << (k - 1)) - 1)) if k else (2 << m) - 1
+        try:
+            c = (((1 << ((m >> k) + 2)) - 1) << k) | ((m >> 1) & ((1 << (k - 1)) - 1)) if k else (2 << m) - 1
+        except OverflowError as e:
+            raise BudgetError(f"the sign code of a number born on day {birthday(x)} does not fit in an int") from e
         if x.num < 0:
             c ^= (1 << (c.bit_length() - 1)) - 1
         x._code = c

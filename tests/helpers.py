@@ -4,7 +4,9 @@ The oracles here deliberately avoid the production code paths they
 check: set closures go through Python sets, subset enumeration through
 itertools, Ackermann codes through their defining sum, simplicity
 through a birthday-ordered pool scan, sign codes through a Fraction walk
-of the birth tree, and ordinal identities through reconstruction.
+of the birth tree, ordinal identities through reconstruction, brace
+literals through a recursive-descent reader and the Goedel operations
+through their definitions, both on frozensets.
 """
 
 import itertools
@@ -177,3 +179,111 @@ def simplest_walk(lo, hi):
         else:
             return code
         v = below + 1 if above is None else above - 1 if below is None else (below + above) / 2
+
+
+class _LiteralError(Exception):
+    pass
+
+
+def parse_set_oracle(text):
+    """Reference reader for the brace syntax, sharing no code with hfset.
+
+    Recursive descent over the text with its whitespace removed, indexing
+    characters by position and building frozensets.  Returns the frozenset,
+    or (message, column, expected) for the first error, with columns
+    counted in the whitespace-free text.
+    """
+    s = "".join(text.split())
+
+    def fail(message, i, expected=()):
+        raise _LiteralError(message, i, expected)
+
+    def read(i):
+        # a set starts at s[i]: its value and the index just after it
+        if i >= len(s) or s[i] != "{":
+            fail("expected '{'", i, ("{",))
+        i += 1
+        if i < len(s) and s[i] == "}":
+            return frozenset(), i + 1
+        elems = []
+        while True:
+            e, i = read(i)
+            elems.append(e)
+            if i < len(s) and s[i] == "}":
+                return frozenset(elems), i + 1
+            if i < len(s) and s[i] == ",":
+                i += 1
+            else:
+                fail("expected ',' or '}'", i, (",", "}"))
+
+    try:
+        value, i = read(0)
+        if i != len(s):
+            fail("trailing input after set literal", i)
+    except _LiteralError as e:
+        return e.args
+    return value
+
+
+def to_frozen(x):
+    """A kernel set (anything with `.elements`) as nested frozensets."""
+    return frozenset(to_frozen(e) for e in x.elements)
+
+
+def from_frozen(f):
+    """Nested frozensets as an HFSet."""
+    return HFSet(from_frozen(e) for e in f)
+
+
+def fs_kpair(a, b):
+    """The Kuratowski pair {{a},{a,b}} on frozensets."""
+    return frozenset([frozenset([a]), frozenset([a, b])])
+
+
+def fs_triple(a, b, c):
+    return fs_kpair(fs_kpair(a, b), c)
+
+
+def _fs_split(z):
+    # (a, b) with z == fs_kpair(a, b), or None: a is the element of a
+    # singleton in z, and b the other member of the union, if any
+    for s in z:
+        if len(s) == 1:
+            (a,) = s
+            rest = frozenset().union(*z) - {a}
+            b = next(iter(rest)) if len(rest) == 1 else a
+            if fs_kpair(a, b) == z:
+                return a, b
+    return None
+
+
+def _fs_pairs(x):
+    return [p for p in map(_fs_split, x) if p is not None]
+
+
+def _fs_triples(x):
+    out = []
+    for ab, c in _fs_pairs(x):
+        inner = _fs_split(ab)
+        if inner is not None:
+            out.append((inner[0], inner[1], c))
+    return out
+
+
+# the nine basic operations on frozensets, straight from their definitions
+GOEDEL_FS_OPS = (
+    lambda x, y: x,
+    lambda x, y: x - y,
+    lambda x, y: frozenset([x, y]),
+    lambda x, y: frozenset(fs_kpair(u, v) for u in x for v in y if u in v),
+    lambda x, y: frozenset(fs_kpair(v, u) for u, v in _fs_pairs(x)),
+    lambda x, y: frozenset(u for u, _ in _fs_pairs(x)),
+    lambda x, y: frozenset(fs_kpair(u, v) for u in x for v in y),
+    lambda x, y: frozenset().union(*x),
+    lambda x, y: frozenset(fs_triple(w, u, v) for u, v, w in _fs_triples(x)),
+)
+
+
+def goedel_ext_oracle(x):
+    """{op(u, v) : u, v in x, op one of the nine} on frozensets."""
+    return frozenset(op(u, v) for u in x for v in x for op in GOEDEL_FS_OPS)

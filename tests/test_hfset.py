@@ -40,7 +40,20 @@ from setkernel.hfset import (
     vn_nat,
 )
 
-from helpers import all_sets_of_rank_at_most, code_oracle, power_oracle, rand_hfset, saturate
+from helpers import (
+    GOEDEL_FS_OPS,
+    all_sets_of_rank_at_most,
+    code_oracle,
+    from_frozen,
+    fs_kpair,
+    fs_triple,
+    goedel_ext_oracle,
+    parse_set_oracle,
+    power_oracle,
+    rand_hfset,
+    saturate,
+    to_frozen,
+)
 
 E = empty()
 ONE = singleton(E)  # von Neumann 1
@@ -195,6 +208,26 @@ def test_goedel_ext_small():
     # single element pair (0,0): ops give 0 and {0}, nothing else
     assert goedel_ext(singleton(E)) == HFSet([E, singleton(E)])
     assert goedel_hull(singleton(TWO), 0) == singleton(TWO)
+
+
+def test_goedel_ext_agrees_with_frozenset_oracle():
+    rng = random.Random(6)
+    atoms = [to_frozen(s) for s in all_sets_of_rank_at_most(2)]
+    # operations 4, 5 and 8 are empty except on sets of pairs or triples
+    hits = dict.fromkeys((4, 5, 8), 0)
+    for _ in range(25):
+        members = [rng.choice(atoms) for _ in range(rng.randint(0, 2))]
+        for _ in range(rng.randint(1, 4)):
+            # a relation: some ordered pairs and triples of atoms, perhaps an atom
+            rel = [fs_kpair(rng.choice(atoms), rng.choice(atoms)) for _ in range(rng.randint(0, 3))]
+            rel += [fs_triple(*rng.sample(atoms, 3)) for _ in range(rng.randint(0, 2))]
+            rel += rng.sample(atoms, rng.randint(0, 1))
+            members.append(frozenset(rel))
+        x = frozenset(members)
+        for i in hits:
+            hits[i] += any(GOEDEL_FS_OPS[i](u, u) for u in x)
+        assert to_frozen(goedel_ext(from_frozen(x))) == goedel_ext_oracle(x)
+    assert min(hits.values()) >= 10
 
 
 def test_goedel_hull_monotone():
@@ -366,6 +399,56 @@ def test_parse_and_print():
         parse_set("{,}")
     with pytest.raises(ParseError):
         parse_set("{}{}")
+
+
+def _shuffled_literal(x, rng):
+    """A literal for x with shuffled elements, repeats and spaces."""
+    items = list(x)
+    rng.shuffle(items)
+    if items:
+        items.insert(rng.randrange(len(items) + 1), rng.choice(items))
+    return "{" + " , ".join(_shuffled_literal(e, rng) for e in items) + " }"
+
+
+def _assert_parses_like_oracle(text):
+    want = parse_set_oracle(text)
+    try:
+        got = to_frozen(parse_set(text))
+    except ParseError as e:
+        got = (str(e), e.column, e.expected)
+        if not isinstance(want, frozenset):
+            message, column, expected = want
+            want = (str(ParseError(message, column=column, expected=expected)), column, expected)
+    assert got == want, text
+
+
+def test_parse_agrees_with_reference_reader():
+    for n in range(8):
+        for chars in itertools.product("{},x", repeat=n):
+            _assert_parses_like_oracle("".join(chars))
+    rng = random.Random(8)
+    for _ in range(3000):
+        noise = "".join(rng.choice("{}, x\t") for _ in range(rng.randint(0, 30)))
+        literal = list(_shuffled_literal(rand_hfset(rng, 4, max_width=3), rng))
+        for _ in range(rng.randint(0, 2)):
+            literal.insert(rng.randint(0, len(literal)), rng.choice("{}, x"))
+        _assert_parses_like_oracle(noise)
+        _assert_parses_like_oracle("".join(literal))
+
+
+def test_parse_of_shuffled_literals_keeps_no_node_alive():
+    rng = random.Random(9)
+    v9 = vn_nat(9)
+    assert parse_set(_shuffled_literal(v9, rng)) is v9
+    text = _shuffled_literal(HFSet([vn_nat(10), singleton(vn_nat(11))]), rng)
+    gc.collect()
+    before = len(hfset._INTERN)
+    x = parse_set(text)
+    assert len(hfset._INTERN) > before
+    assert nat_of(x.elements[0]) == 10
+    del x
+    gc.collect()
+    assert len(hfset._INTERN) == before
 
 
 def _singleton_chain(depth):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from setkernel.errors import PreconditionError
+from setkernel.errors import BudgetError, KernelError, PreconditionError
 from setkernel.numtower import Frac, parse_frac
 from setkernel.surreal import (
     Dyadic,
@@ -288,6 +288,15 @@ def test_dyadic_code_round_trip():
 def test_conway_mul_runs_without_recursion():
     assert sys.getrecursionlimit() <= 1000 and conway_mul(D(1200), D(1)) == D(1200)
     assert conway_mul(D(1), D(-1200)) == D(-1200)
+
+
+def test_huge_birthday_ends_in_budget_error():
+    huge = D(10 ** 30)
+    for call in (lambda: conway_add(huge, D(1)), lambda: conway_neg(huge), lambda: conway_mul(D(1), -huge)):
+        with pytest.raises(BudgetError, match=f"born on day {10 ** 30} ") as info:
+            call()
+        assert isinstance(info.value, KernelError)
+        assert isinstance(info.value.__cause__, OverflowError)
 
 
 def test_mul_grid_fills_the_same_memo_tables():
