@@ -29,16 +29,9 @@ def _as_frac(v):
         return v
     if isinstance(v, int):
         return Frac(v)
-    o = _finite_ordinal(v)
-    if o is not None:
-        return Frac(o)
+    if isinstance(v, ordinal.CnfOrdinal) and v.is_finite():
+        return Frac(v.as_int())
     raise SortMismatchError(f"expected a rational, got {render(v)}")
-
-
-def _finite_ordinal(v):
-    if isinstance(v, ordinal.CnfOrdinal):
-        return v.as_int()
-    return None
 
 
 def _as_dyadic(v):
@@ -156,33 +149,31 @@ class Evaluator:
         self.env = {}
 
     def eval_node(self, node):
-        if isinstance(node, syntax.Nat):
-            return node.value
-        if isinstance(node, syntax.Rat):
-            return Frac(node.num, node.den)
-        if isinstance(node, syntax.WSym):
-            return ordinal.OMEGA
-        if isinstance(node, syntax.Bin):
-            spine, leaf = node.spine()
-            value = self.eval_node(leaf)
-            for b in reversed(spine):
-                value = _apply_bin(b.op, value, self.eval_node(b.right))
-            return value
-        if isinstance(node, syntax.SetLit):
-            return self._eval_setlit(node)
-        if isinstance(node, syntax.Var):
-            if node.name in self.env:
-                return self.env[node.name]
-            raise EvalError(f"unbound name {node.name!r}")
-        if isinstance(node, syntax.Call):
-            if node.name not in _VALUE_COMMANDS:
-                raise EvalError(f"unknown command {node.name!r}")
-            return _call(node.name, [self.eval_node(a) for a in node.args])
-        if isinstance(node, syntax.Let):
-            value = self.eval_node(node.expr)
-            self.env[node.name] = value
-            return value
-        raise EvalError(f"cannot evaluate {node!r}")
+        handler = _EVAL.get(node.__class__)
+        if handler is None:
+            raise EvalError(f"cannot evaluate {node!r}")
+        return handler(self, node)
+
+    def _eval_bin(self, node):
+        spine, leaf = node.spine()
+        value = self.eval_node(leaf)
+        for b in reversed(spine):
+            value = _apply_bin(b.op, value, self.eval_node(b.right))
+        return value
+
+    def _eval_var(self, node):
+        if node.name in self.env:
+            return self.env[node.name]
+        raise EvalError(f"unbound name {node.name!r}")
+
+    def _eval_call(self, node):
+        if node.name not in _VALUE_COMMANDS:
+            raise EvalError(f"unknown command {node.name!r}")
+        return _call(node.name, [self.eval_node(a) for a in node.args])
+
+    def _eval_let(self, node):
+        self.env[node.name] = value = self.eval_node(node.expr)
+        return value
 
     def _eval_setlit(self, node):
         items = [self.eval_node(i) for i in node.items]
@@ -196,6 +187,19 @@ class Evaluator:
 
     def eval_text(self, text):
         return self.eval_node(syntax.parse(text))
+
+
+# node class -> handler; the one dispatch point of Evaluator.eval_node
+_EVAL = {
+    syntax.Nat: lambda self, node: node.value,
+    syntax.Rat: lambda self, node: Frac(node.num, node.den),
+    syntax.WSym: lambda self, node: ordinal.OMEGA,
+    syntax.Bin: Evaluator._eval_bin,
+    syntax.SetLit: Evaluator._eval_setlit,
+    syntax.Var: Evaluator._eval_var,
+    syntax.Call: Evaluator._eval_call,
+    syntax.Let: Evaluator._eval_let,
+}
 
 
 def _text(v):

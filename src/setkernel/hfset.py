@@ -381,7 +381,7 @@ def goedel_hull(x, n, max_elements=None):
     budget = DEFAULT_MAX_ELEMENTS if max_elements is None else max_elements
     cur = x
     for _ in range(n):
-        if len(cur) ** 2 * 9 > budget:
+        if len(cur) * (4 * len(cur) + 5) > budget:  # the op results goedel_ext makes
             raise BudgetError(f"hull step on {len(cur)} elements exceeds budget {budget}")
         cur = goedel_ext(cur)
         if len(cur) > budget:

@@ -7,16 +7,17 @@ result is built once, as one term list, from its closed form, and the
 algebraic laws the recursions imply are enforced by the test suite rather
 than assumed.  A finite ordinal hashes like its int.
 
-A value has at most MAX_TERMS terms and exponents nested at most
-MAX_EXPONENT_DEPTH deep, and `nat_pow` refuses an integer power of more
-than about MAX_POW_BITS bits before computing it; each raises BudgetError.
+The public `CnfOrdinal(terms)` validates its terms; the module's results
+come from the private `_make`, which trusts terms canonical by construction.
+Both refuse more than MAX_TERMS terms or exponents nested past
+MAX_EXPONENT_DEPTH, and `nat_pow` refuses an integer power of more than
+about MAX_POW_BITS bits before computing it; each raises BudgetError.
 
 There is no right subtraction: a + c = b + c does not force a = b (for
 example 1 + w = 2 + w), so only the left-sided `lsub` is provided.
 """
 
 import enum
-from functools import cmp_to_key
 
 from .errors import BudgetError, PreconditionError, ZeroDivisorError
 
@@ -50,33 +51,25 @@ def _operator(fn):
 class CnfOrdinal:
     __slots__ = ("_terms", "_depth", "_hash")
 
-    def __init__(self, terms=()):
+    def __new__(cls, terms=()):
+        """Validate terms (exponents, positive coefficients, strictly decreasing order)."""
         terms = tuple(terms)
-        if len(terms) > MAX_TERMS:
-            raise BudgetError(f"more than {MAX_TERMS} Cantor normal form terms")
-        depth = 1
         prev = None
         for exp, coeff in terms:
             if not isinstance(exp, CnfOrdinal):
                 raise TypeError("exponents must be CnfOrdinal")
             if not isinstance(coeff, int) or coeff < 1:
                 raise PreconditionError(f"coefficients must be positive integers, got {coeff!r}")
-            if prev is not None and _cmp_ord(exp, prev) >= 0:
+            if prev is not None and _cmp(exp._terms, prev._terms) >= 0:
                 raise PreconditionError("exponents must be strictly decreasing")
             prev = exp
-            depth = max(depth, exp._depth + 1)
-        if depth > MAX_EXPONENT_DEPTH:
-            raise BudgetError(f"exponent nesting deeper than {MAX_EXPONENT_DEPTH}")
-        self._terms = terms
-        self._depth = depth
-        # only a finite ordinal has depth 2 or less; it hashes like its int
-        self._hash = hash(terms) if depth > 2 else hash(terms[0][1]) if terms else 0
+        return _make(terms)
 
     @classmethod
     def from_int(cls, n):
         if n < 0:
             raise PreconditionError("ordinals are nonnegative")
-        return cls() if n == 0 else cls(((ZERO, n),))
+        return _make(((ZERO, n),)) if n else ZERO
 
     def is_zero(self):
         return not self._terms
@@ -97,10 +90,10 @@ class CnfOrdinal:
         other = _coerce(other)
         return NotImplemented if other is None else self._terms == other._terms
 
-    __lt__ = _operator(lambda a, b: _cmp_ord(a, b) < 0)
-    __le__ = _operator(lambda a, b: _cmp_ord(a, b) <= 0)
-    __gt__ = _operator(lambda a, b: _cmp_ord(a, b) > 0)
-    __ge__ = _operator(lambda a, b: _cmp_ord(a, b) >= 0)
+    __lt__ = _operator(lambda a, b: _cmp(a._terms, b._terms) < 0)
+    __le__ = _operator(lambda a, b: _cmp(a._terms, b._terms) <= 0)
+    __gt__ = _operator(lambda a, b: _cmp(a._terms, b._terms) > 0)
+    __ge__ = _operator(lambda a, b: _cmp(a._terms, b._terms) >= 0)
     __add__ = _operator(lambda a, b: add(a, b))
     __radd__ = _operator(lambda a, b: add(b, a))
     __mul__ = _operator(lambda a, b: mul(a, b))
@@ -137,24 +130,42 @@ def _coerce(x):
     return None
 
 
-def _cmp_ord(a, b):
-    if a is b:
+def _make(terms):
+    """The ordinal of a term tuple canonical by construction: no term checks, only the budgets."""
+    if len(terms) > MAX_TERMS:
+        raise BudgetError(f"more than {MAX_TERMS} Cantor normal form terms")
+    # depth is monotone in value, so the leading exponent is the deepest
+    depth = terms[0][0]._depth + 1 if terms else 1
+    if depth > MAX_EXPONENT_DEPTH:
+        raise BudgetError(f"exponent nesting deeper than {MAX_EXPONENT_DEPTH}")
+    self = object.__new__(CnfOrdinal)
+    self._terms = terms
+    self._depth = depth
+    # only a finite ordinal has depth 2 or less; it hashes like its int
+    self._hash = hash(terms) if depth > 2 else hash(terms[0][1]) if terms else 0
+    return self
+
+
+def _cmp(ta, tb):
+    """Three-way comparison of two canonical term tuples."""
+    if ta is tb:
         return 0
-    for (ea, ka), (eb, kb) in zip(a._terms, b._terms):
-        c = _cmp_ord(ea, eb)
-        if c:
-            return c
+    for (ea, ka), (eb, kb) in zip(ta, tb):
+        if ea is not eb:
+            c = _cmp(ea._terms, eb._terms)
+            if c:
+                return c
         if ka != kb:
             return -1 if ka < kb else 1
-    la, lb = len(a._terms), len(b._terms)
+    la, lb = len(ta), len(tb)
     if la == lb:
         return 0
     return -1 if la < lb else 1
 
 
-ZERO = CnfOrdinal()
+ZERO = _make(())
 ONE = CnfOrdinal.from_int(1)
-OMEGA = CnfOrdinal(((ONE, 1),))
+OMEGA = _make(((ONE, 1),))
 
 
 def omega_pow(exp, coeff=1):
@@ -167,7 +178,7 @@ def omega_pow(exp, coeff=1):
 
 def cmp(a, b):
     """Three-way comparison: -1, 0, or 1."""
-    return _cmp_ord(a, b)
+    return _cmp(a._terms, b._terms)
 
 
 def kind(a):
@@ -184,39 +195,31 @@ def add(a, b):
     """Ordinal sum: a-terms below the leading b-exponent are absorbed."""
     if not b._terms:
         return a
-    if not a._terms:
-        return b
-    eb = b._terms[0][0]
-    keep = 0
-    for exp, _ in a._terms:
-        if _cmp_ord(exp, eb) > 0:
-            keep += 1
-        else:
-            break
-    merged = a._terms[:keep]
-    if keep < len(a._terms) and a._terms[keep][0] == eb:
-        head = (eb, a._terms[keep][1] + b._terms[0][1])
-        return CnfOrdinal(merged + (head,) + b._terms[1:])
-    return CnfOrdinal(merged + b._terms)
+    ta, tb = a._terms, b._terms
+    eb, kb = tb[0]
+    for keep, (exp, k) in enumerate(ta):
+        c = _cmp(exp._terms, eb._terms)
+        if c < 0:
+            return _make(ta[:keep] + tb)
+        if c == 0:
+            return _make(ta[:keep] + ((eb, k + kb),) + tb[1:])
+    return _make(ta + tb)
 
 
 def lsub(a, b):
     """The unique g with a + g = b; requires a <= b."""
     ta, tb = a._terms, b._terms
-    i = 0
-    while i < len(ta) and i < len(tb):
-        (ea, ka), (eb, kb) = ta[i], tb[i]
-        c = _cmp_ord(ea, eb)
+    for i, ((ea, ka), (eb, kb)) in enumerate(zip(ta, tb)):
+        c = _cmp(ea._terms, eb._terms)
         if c > 0 or (c == 0 and ka > kb):
             raise PreconditionError(f"lsub needs a <= b, got {a} > {b}")
         if c < 0:
-            return CnfOrdinal(tb[i:])
+            return _make(tb[i:])
         if ka < kb:
-            return CnfOrdinal(((eb, kb - ka),) + tb[i + 1:])
-        i += 1
-    if i < len(ta):
+            return _make(((eb, kb - ka),) + tb[i + 1:])
+    if len(ta) > len(tb):
         raise PreconditionError(f"lsub needs a <= b, got {a} > {b}")
-    return CnfOrdinal(tb[i:])
+    return _make(tb[len(ta):])
 
 
 def mul(a, b):
@@ -236,7 +239,7 @@ def mul(a, b):
         else:
             terms.append((e, k * m))
             terms.extend(tail)
-    return CnfOrdinal(terms)
+    return _make(tuple(terms))
 
 
 def ord_divmod(b, a):
@@ -247,21 +250,21 @@ def ord_divmod(b, a):
     q_terms = []
     i = 0
     # a term w^f*m of b above a's leading exponent is a*(w^g*m) with ea + g = f
-    while i < len(tb) and _cmp_ord(tb[i][0], ea) > 0:
+    while i < len(tb) and (c := _cmp(tb[i][0]._terms, ea._terms)) > 0:
         f, m = tb[i]
         q_terms.append((lsub(ea, f), m))
         i += 1
-    r = CnfOrdinal(tb[i:]) if i else b
-    if i < len(tb) and tb[i][0] == ea:
+    r = _make(tb[i:]) if i else b
+    if i < len(tb) and c == 0:
         # leading exponents agree: finite quotient digit
         m = tb[i][1]
         digit = m // ka
-        if digit and ka * digit == m and _cmp_ord(CnfOrdinal(a._terms[1:]), CnfOrdinal(tb[i + 1:])) > 0:
+        if digit and ka * digit == m and _cmp(a._terms[1:], tb[i + 1:]) > 0:
             digit -= 1
         if digit:
             q_terms.append((ZERO, digit))
-            r = lsub(mul(a, CnfOrdinal.from_int(digit)), r)
-    return CnfOrdinal(q_terms), r
+            r = lsub(mul(a, _make(((ZERO, digit),))), r)
+    return _make(tuple(q_terms)), r
 
 
 def nat_pow(k, n):
@@ -277,18 +280,19 @@ def opow(a, b):
         return ONE
     if not a._terms:
         return ZERO
-    if a == ONE:
-        return ONE
+    ea, ka = a._terms[0]
+    if is_indecomposable(a):
+        # (w^ea)^b = w^(ea*b), and 1^b = 1
+        return ONE if ea.is_zero() else _make(((mul(ea, b), 1),))
     n = b._terms[-1][1] if b._terms[-1][0].is_zero() else 0
     limit_terms = b._terms[:-1] if n else b._terms
-    ea = a._terms[0][0]
     if ea.is_zero():
         # finite base k >= 2: k^(w^f*m) = w^(w^g*m) with 1 + g = f, so
         # k^b = w^x * k^n where x has the terms (g, m), already in order
-        x = CnfOrdinal([(lsub(ONE, f), m) for f, m in limit_terms])
-        return CnfOrdinal(((x, nat_pow(a._terms[0][1], n)),))
+        x = _make(tuple((lsub(ONE, f), m) for f, m in limit_terms))
+        return _make(((x, nat_pow(ka, n)),))
     # a^(lambda + n) = w^(ea*lambda) * a^n for the limit part lambda of b
-    lead = omega_pow(mul(ea, CnfOrdinal(limit_terms))) if limit_terms else ONE
+    lead = _make(((mul(ea, _make(limit_terms)), 1),)) if limit_terms else ONE
     return mul(lead, _opow_nat(a, n))
 
 
@@ -305,12 +309,17 @@ def _opow_nat(a, n):
 
 
 def hessenberg(a, b):
-    """Natural (commutative) sum: coefficients add exponent-wise."""
-    coeffs = {}
-    for exp, k in a._terms + b._terms:
-        coeffs[exp] = coeffs.get(exp, 0) + k
-    exps = sorted(coeffs, key=cmp_to_key(_cmp_ord), reverse=True)
-    return CnfOrdinal(tuple((e, coeffs[e]) for e in exps))
+    """Natural (commutative) sum: merge the descending terms, adding coefficients of equal exponents."""
+    ta, tb = a._terms, b._terms
+    terms = []
+    i = j = 0
+    while i < len(ta) and j < len(tb):
+        (ea, ka), (eb, kb) = ta[i], tb[j]
+        c = _cmp(ea._terms, eb._terms)
+        terms.append(ta[i] if c > 0 else tb[j] if c < 0 else (ea, ka + kb))
+        i += c >= 0
+        j += c <= 0
+    return _make(tuple(terms) + ta[i:] + tb[j:])
 
 
 def is_indecomposable(a):

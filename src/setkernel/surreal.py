@@ -45,11 +45,15 @@ class Dyadic(Frac):
     def __init__(self, num, k=0):
         if k < 0:
             raise PreconditionError("log-denominator must be nonnegative")
-        while k > 0 and num % 2 == 0:
-            num //= 2
-            k -= 1
+        if not num & 1 and k:  # strip min(k, trailing zeros) in one shift; 0 is 0/1
+            shift = min(k, (num & -num).bit_length() - 1) if num else k
+            num >>= shift
+            k -= shift
+        try:
+            self.den = 1 << k
+        except OverflowError as e:
+            raise BudgetError(f"a denominator 2^k with a {k.bit_length()}-bit k does not fit in an int") from e
         self.num = num
-        self.den = 1 << k
         self.k = k
         self._code = None
 

@@ -14,7 +14,8 @@ alone it is a variable.  'w' is reserved for the first infinite
 ordinal.  The natural-sum operator may be written '(+)' or the single
 character U+2295.  A NAT is a run of decimal digits of any script; an
 identifier starts with a letter or '_'.  Brackets, command arguments
-and '^' chains may nest at most MAX_NESTING deep.
+and '^' chains may nest at most MAX_NESTING deep.  AST nodes are slots
+dataclasses, equal and hashed by value; nothing assigns to a built node.
 """
 
 import re
@@ -23,28 +24,28 @@ from dataclasses import dataclass
 from .errors import ParseError
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Nat:
     value: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Rat:
     num: int
     den: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class WSym:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SetLit:
     items: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Bin:
     op: str
     left: object
@@ -77,18 +78,18 @@ class Bin:
         return head + repr(leaf) + "".join(f", right={b.right!r})" for b in reversed(nodes))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Call:
     name: str
     args: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Var:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Let:
     name: str
     expr: object

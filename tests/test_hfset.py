@@ -245,6 +245,14 @@ def test_goedel_hull_budget():
         goedel_hull(x, 4, max_elements=500)
 
 
+def test_goedel_hull_budget_counts_the_results_of_a_step():
+    # a step on n elements makes 4*n^2 + 5*n op results: 1700 for n = 20
+    x = vn_nat(20)
+    assert goedel_hull(x, 1, max_elements=1700) is goedel_ext(x)
+    with pytest.raises(BudgetError, match="hull step on 20 elements exceeds budget 1699"):
+        goedel_hull(x, 1, max_elements=1699)
+
+
 def test_goedel_tree_eval_clauses():
     a, b = ONE, TWO
     t0 = GoedelTree(0, {})

@@ -341,3 +341,53 @@ def test_nat_pow_caps_bits():
     assert ordinal.nat_pow(0, 0) == 1
     with pytest.raises(BudgetError):
         opow(fin(3), add(W, fin(100000000)))
+
+
+def _depth_oracle(x):
+    """Exponent nesting from the definition: 1 + the deepest exponent."""
+    return 1 + max((_depth_oracle(e) for e, _ in x._terms), default=0)
+
+
+def _assert_canonical(x):
+    """The validating constructor accepts x's terms as they are, and agrees on depth and hash."""
+    again = CnfOrdinal(x._terms)
+    assert again._terms == x._terms and again._depth == x._depth and again._hash == x._hash
+    assert x._depth == _depth_oracle(x)
+    for e, _ in x._terms:
+        _assert_canonical(e)
+
+
+def test_internal_results_are_canonical():
+    # module results skip the term checks; rebuilding each one through
+    # CnfOrdinal(terms) checks types, positive coefficients and order
+    rng = random.Random(67)
+    for _ in range(2000):
+        a, b = rand_ordinal(rng, 3), rand_ordinal(rng, 3)
+        n = CnfOrdinal.from_int(rng.randint(0, 9))
+        lo, hi = sorted((a, b))
+        results = [add(a, b), mul(a, b), lsub(lo, hi), hessenberg(a, b), n, opow(a, n), opow(n, a)]
+        results.append(opow(a, rand_ordinal(rng, 2, max_terms=2, max_coeff=3)))
+        results.append(opow(omega_pow(rand_ordinal(rng, 2)), b))
+        if not b.is_zero():
+            results.extend(ord_divmod(a, b))
+        for r in results:
+            _assert_canonical(r)
+
+
+def test_omega_power_closed_form():
+    rng = random.Random(71)
+    for _ in range(150):
+        a = omega_pow(rand_ordinal(rng, 2))
+        product = ONE
+        for n in range(7):
+            assert opow(a, fin(n)) == product
+            product = mul(product, a)
+        b, c = rand_ordinal(rng, 2), rand_ordinal(rng, 2)
+        assert opow(a, add(b, c)) == mul(opow(a, b), opow(a, c))
+        assert opow(opow(a, b), c) == opow(a, mul(b, c))
+    assert opow(omega_pow(2), W) == omega_pow(W)  # (w^2)^w = w^w
+    assert opow(omega_pow(2), W + 3) == omega_pow(W + 6)
+    tower = W
+    with pytest.raises(BudgetError, match="exponent nesting"):
+        for _ in range(70):
+            tower = opow(W, tower)

@@ -2,6 +2,7 @@ import itertools
 import operator
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -296,6 +297,27 @@ def test_huge_birthday_ends_in_budget_error():
         with pytest.raises(BudgetError, match=f"born on day {10 ** 30} ") as info:
             call()
         assert isinstance(info.value, KernelError)
+        assert isinstance(info.value.__cause__, OverflowError)
+
+
+def test_dyadic_normalises_in_one_shift():
+    # each of these looped once per halving, one bit at a time
+    start = time.perf_counter()
+    zero = D(0, 10 ** 30)
+    assert (zero.num, zero.k, zero.den) == (0, 0, 1)
+    one = D(1 << 20000, 20000)
+    assert (one.num, one.k, one.den) == (1, 0, 1)
+    assert time.perf_counter() - start < 0.02
+    for num, k, reduced in [(12, 3, (3, 1)), (-12, 5, (-3, 3)), (12, 0, (12, 0)), (-7, 4, (-7, 4)), (-(5 << 40), 50, (-5, 10))]:
+        d = D(num, k)
+        assert (d.num, d.k, d.den) == (reduced[0], reduced[1], 1 << reduced[1])
+        assert d == Fraction(num, 1 << k)
+
+
+def test_huge_denominator_ends_in_budget_error():
+    for k in (10 ** 30, 10 ** 5000):
+        with pytest.raises(BudgetError, match="does not fit in an int") as info:
+            D(1, k)
         assert isinstance(info.value.__cause__, OverflowError)
 
 
