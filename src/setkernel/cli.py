@@ -73,6 +73,9 @@ def _apply_bin(op, a, b):
         x, y = _as_frac(a), _as_frac(b)
         return x + y if op == "+" else x * y
     # two bare naturals: stay polymorphic (the finite sorts agree anyway)
+    for v in (a, b):
+        if not isinstance(v, int):
+            raise SortMismatchError(f"operator {op!r} does not apply to {render(v)}")
     if op == "+":
         return a + b
     if op == "*":
@@ -275,7 +278,7 @@ def _read_text(path):
 def _parse_binstring(tok):
     if tok == "_":
         return ""
-    if any(c not in "01" for c in tok):
+    if not tok or any(c not in "01" for c in tok):
         raise EvalError(f"binary strings use 0/1 (or _ for empty), got {tok!r}")
     return tok
 
@@ -321,6 +324,8 @@ class Session:
             if len(args) != 1:
                 raise EvalError("usage: :bnf N")
             n = _parse_int(args[0], "usage: :bnf N")
+            if n < 0:
+                raise EvalError(f"usage: :bnf N: {n} is negative")
             m = linorder.back_and_forth(linorder.binstring_side(), linorder.dyadic_side(), n)
             return {k if k else '""': v for k, v in m.items()}
         if name == "cutclass":

@@ -2,11 +2,16 @@
 order on finite binary strings, insertion witnesses, back-and-forth
 partial isomorphisms, and a gap classifier for described cuts of Q.
 
+The universal order is the sign-expansion order of the dyadics, 1 as +
+and 0 as -: a string s is the sign code int("1" + s, 2), and its order and
+simplicity are those of `surreal`'s code routines `_lt` and `_simplest`.
+
 Finite orders have no gaps (every cut has a left maximum or a right
 minimum), so the gap extension of a FinOrder is the identity; gaps only
 appear for the described, infinite cuts handled by `classify_cut`.
 """
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -80,69 +85,58 @@ def simplest_dyadic_labels(iterations):
     return order, labels
 
 
+def _key(s):
+    """A str in the universal order: 1 marks the end, 0 sorts below it, 2 above."""
+    return s.replace("1", "2") + "1"
+
+
 def u_cmp(f, g):
     """Three-way comparison in the universal order on binary strings.
 
     f < g when f extends g with a 0 at position |g|, or g extends f with
     a 1 at position |f|, or the first disagreement has f at 0 and g at 1.
     """
-    for cf, cg in zip(f, g):
-        if cf != cg:
-            return -1 if cf == "0" else 1
-    if len(f) > len(g):
-        return -1 if f[len(g)] == "0" else 1
-    if len(g) > len(f):
-        return 1 if g[len(f)] == "0" else -1
-    return 0
+    a, b = int("1" + f, 2), int("1" + g, 2)
+    return -1 if surreal._lt(a, b) else 1 if surreal._lt(b, a) else 0
 
 
 def insert_between(a, b):
-    """The shortest string strictly between the sets a and b.
+    """The shortest string strictly between the sets a and b: the signs
+    of the simplest number between the largest of a and the smallest of b.
 
     Minimality makes the witness unique, so no tie-breaking is needed.
     """
-    a = list(a)
-    b = list(b)
-    for f, g in itertools.product(a, b):
-        if u_cmp(f, g) >= 0:
-            raise PreconditionError(f"need a < b elementwise, got {f!r} >= {g!r}")
-    z = ""
-    while True:
-        if any(u_cmp(f, z) >= 0 for f in a):
-            z += "1"
-        elif any(u_cmp(z, g) >= 0 for g in b):
-            z += "0"
-        else:
-            return z
+    f = max(a, key=_key, default=None)
+    g = min(b, key=_key, default=None)
+    lo = 0 if f is None else int("1" + f, 2)
+    hi = 0 if g is None else int("1" + g, 2)
+    if lo and hi and not surreal._lt(lo, hi):
+        raise PreconditionError(f"need a < b elementwise, got {f!r} >= {g!r}")
+    return bin(surreal._simplest(lo, hi))[3:]
 
 
 def binary_strings():
     """All binary strings in (length, lexicographic) order."""
-    for n in itertools.count():
-        for i in range(1 << n):
-            yield format(i, f"0{n}b") if n else ""
+    return (bin(c)[3:] for c in itertools.count(1))
 
 
 @dataclass(frozen=True)
 class OrderSide:
     """One side of a back-and-forth construction.
 
-    `enum` yields the carrier in the matching order; `cmp` is a strict
-    three-way comparator; `between(lo, hi)` must produce an element
-    strictly between the finite sets lo and hi (either may be empty).
+    `enum` yields the carrier in the matching order; `key` maps an element
+    to a value whose native < is the side's order; `between(lo, hi)` gives
+    an element strictly between the finite sets lo and hi (either may be empty).
     """
 
     name: str
     enum: object
-    cmp: object
+    key: object
     between: object
-
-    def items(self):
-        return self.enum()
 
 
 def binstring_side(name="U"):
-    return OrderSide(name, binary_strings, u_cmp, insert_between)
+    return OrderSide(name, binary_strings, _key, insert_between)
 
 
 def dyadic_side(name="No", lo=None, hi=None):
@@ -150,28 +144,19 @@ def dyadic_side(name="No", lo=None, hi=None):
 
     def enum():
         for d in surreal.enumerate_dyadics():
-            if lo is not None and not lo < d:
-                continue
-            if hi is not None and not d < hi:
-                continue
-            yield d
+            if (lo is None or lo < d) and (hi is None or d < hi):
+                yield d
 
-    def cmp(a, b):
-        return (b < a) - (a < b)
+    def key(d):
+        return _key(bin(surreal._code(d))[3:])
+
+    below = [] if lo is None else [lo]
+    above = [] if hi is None else [hi]
 
     def between(left, right):
-        left = set(left) | ({lo} if lo is not None else set())
-        right = set(right) | ({hi} if hi is not None else set())
-        return surreal.simplest(left, right)
+        return surreal.simplest([*left, *below], [*right, *above])
 
-    return OrderSide(name, enum, cmp, between)
-
-
-def _place(side, matched, value):
-    """Partner for `value` among matched (own, other) pairs."""
-    lo = [other for own, other in matched if side.cmp(own, value) < 0]
-    hi = [other for own, other in matched if side.cmp(own, value) > 0]
-    return lo, hi
+    return OrderSide(name, enum, key, between)
 
 
 def back_and_forth(side_a, side_b, rounds):
@@ -180,34 +165,36 @@ def back_and_forth(side_a, side_b, rounds):
     Even rounds pull the next enumerated element of side A, odd rounds of
     side B, so after n rounds the map covers the first ceil(n/2) elements
     of A's enumeration and floor(n/2) of B's, and is strictly
-    order-preserving in both directions.
+    order-preserving in both directions.  Matched keys stay sorted, partners
+    at one index, so a target's partner lies between its neighbours' partners.
     """
-    matched = []  # (a element, b element)
-    gen_a = side_a.items()
-    gen_b = side_b.items()
+    sides = (side_a, side_b)
+    gens = (side_a.enum(), side_b.enum())
+    keys = ([], [])
+    elems = ({}, {})
     for r in range(rounds):
-        if r % 2 == 0:
-            src, dst, gen = side_a, side_b, gen_a
-            pairs = [(a, b) for a, b in matched]
-        else:
-            src, dst, gen = side_b, side_a, gen_b
-            pairs = [(b, a) for a, b in matched]
-        target = next(gen)
-        if any(own == target for own, _ in pairs):
+        s, t = r % 2, 1 - r % 2
+        target = next(gens[s])
+        k = sides[s].key(target)
+        own, other = keys[s], keys[t]
+        i = bisect.bisect_left(own, k)
+        if i < len(own) and own[i] == k:
             continue
-        lo, hi = _place(src, pairs, target)
+        lo = [elems[t][other[i - 1]]] if i else []
+        hi = [elems[t][other[i]]] if i < len(other) else []
+        dst = sides[t]
         try:
             partner = dst.between(lo, hi)
         except Exception as exc:  # surface which side stalled and on what
             raise WitnessError(dst.name, lo, hi, str(exc)) from exc
-        bad = [x for x in lo if dst.cmp(x, partner) >= 0] + [x for x in hi if dst.cmp(partner, x) >= 0]
-        if bad:
+        pk = dst.key(partner)
+        if i and not other[i - 1] < pk or i < len(other) and not pk < other[i]:
             raise WitnessError(dst.name, lo, hi, f"witness {partner!r} not strictly between")
-        if r % 2 == 0:
-            matched.append((target, partner))
-        else:
-            matched.append((partner, target))
-    return dict(matched)
+        own.insert(i, k)
+        other.insert(i, pk)
+        elems[s][k] = target
+        elems[t][pk] = partner
+    return {elems[0][a]: elems[1][b] for a, b in zip(*keys)}
 
 
 @dataclass(frozen=True)

@@ -159,7 +159,12 @@ def _code(x):
         try:
             c = (((1 << ((m >> k) + 2)) - 1) << k) | ((m >> 1) & ((1 << (k - 1)) - 1)) if k else (2 << m) - 1
         except OverflowError as e:
-            raise BudgetError(f"the sign code of a number born on day {birthday(x)} does not fit in an int") from e
+            day = birthday(x)
+            try:
+                day = f"day {day}"
+            except ValueError:  # more digits than Python will write in decimal
+                day = f"a day of {day.bit_length()} bits"
+            raise BudgetError(f"the sign code of a number born on {day} does not fit in an int") from e
         if x.num < 0:
             c ^= (1 << (c.bit_length() - 1)) - 1
         x._code = c

@@ -4,9 +4,10 @@ The oracles here deliberately avoid the production code paths they
 check: set closures go through Python sets, subset enumeration through
 itertools, Ackermann codes through their defining sum, simplicity
 through a birthday-ordered pool scan, sign codes through a Fraction walk
-of the birth tree, ordinal identities through reconstruction, brace
-literals through a recursive-descent reader and the Goedel operations
-through their definitions, both on frozensets.
+of the birth tree, the universal order on binary strings character by
+character, ordinal identities through reconstruction, brace literals
+through a recursive-descent reader and the Goedel operations through
+their definitions, both on frozensets.
 """
 
 import itertools
@@ -179,6 +180,21 @@ def simplest_walk(lo, hi):
         else:
             return code
         v = below + 1 if above is None else above - 1 if below is None else (below + above) / 2
+
+
+def u_cmp_oracle(f, g):
+    """Three-way comparison in the universal order on binary strings, from
+    its definition: f < g when f extends g with a 0 at position |g|, or g
+    extends f with a 1 at position |f|, or the first disagreement has f at
+    0 and g at 1.  Independent of the sign codes linorder compares."""
+    for cf, cg in zip(f, g):
+        if cf != cg:
+            return -1 if cf == "0" else 1
+    if len(f) > len(g):
+        return -1 if f[len(g)] == "0" else 1
+    if len(g) > len(f):
+        return 1 if g[len(f)] == "0" else -1
+    return 0
 
 
 class _LiteralError(Exception):

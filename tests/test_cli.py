@@ -133,6 +133,7 @@ _LINE_BUDGET_S = 2.0
 @example(["let x = w^w^w", "x^x^x", "(x+1)^(w^2+3) (+) x"])
 @example(["9^9^9", "(w+1)^100000000", "w^(w^(w+1)*2)^1000000", "2^65536 * 2^65536 + 1/3"])
 @example(["simp {0, 1/2} {3/4}", "birthday (1000000/1024)", "divmod (w^w*3+w) (w*2)"])
+@example(["signs 3 + 1", "1 + signs 3", "signs 2^70", "let x = signs 3", "x * 2", "divmod 3 2 + 1"])
 def test_eval_is_total(lines):
     """Each line ends, within a wall budget, in a value or a typed error."""
     session = Session()
@@ -325,8 +326,17 @@ def test_batch_keeps_going_past_long_integers(tmp_path):
 
 
 def test_bnf_rejects_non_integer():
-    with pytest.raises(EvalError):
-        Session().run_line(":bnf x")
+    for line in (":bnf x", ":bnf -3"):
+        with pytest.raises(EvalError):
+            Session().run_line(line)
+
+
+def test_between_rejects_empty_element():
+    # the empty string is spelled _, so an empty element is malformed
+    for line in (":between {0,,1} {}", ":between {0,} {}"):
+        with pytest.raises(EvalError):
+            Session().run_line(line)
+    assert Session().run_line(":between {0,_} {}") == "1"
 
 
 def test_collapse_missing_file(tmp_path):

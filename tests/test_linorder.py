@@ -1,10 +1,13 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from helpers import sign_walk, u_cmp_oracle
 
 from setkernel import surreal
+from setkernel.cli import Session
 from setkernel.errors import PreconditionError, WitnessError
 from setkernel.linorder import (
     AtRationalLeftClosed,
@@ -96,6 +99,14 @@ def test_u_cmp_total_order_fuzz():
             assert u_cmp(f, h) < 0
 
 
+def test_u_cmp_agrees_with_string_oracle():
+    strings = list(itertools.takewhile(lambda s: len(s) <= 7, binary_strings()))
+    assert len(strings) == 255
+    for f in strings:
+        for g in strings:
+            assert u_cmp(f, g) == u_cmp_oracle(f, g)
+
+
 def test_u_cmp_matches_sign_expansion_order():
     # the sign-expansion map is an order isomorphism onto the string order
     pool = surreal.born_by(8)
@@ -119,7 +130,7 @@ def bfs_minimal_witnesses(a, b, max_len):
     for z in itertools.takewhile(lambda s: len(s) <= max_len, binary_strings()):
         if found and len(z) > len(found[0]):
             break
-        if all(u_cmp(f, z) < 0 for f in a) and all(u_cmp(z, g) < 0 for g in b):
+        if all(u_cmp_oracle(f, z) < 0 for f in a) and all(u_cmp_oracle(z, g) < 0 for g in b):
             found.append(z)
     return found
 
@@ -132,12 +143,12 @@ def test_insert_between_minimal_and_unique():
     while done < 200:
         a = [rand_str() for _ in range(rng.randint(0, 3))]
         b = [rand_str() for _ in range(rng.randint(0, 3))]
-        if any(u_cmp(f, g) >= 0 for f in a for g in b):
+        if any(u_cmp_oracle(f, g) >= 0 for f in a for g in b):
             continue
         done += 1
         z = insert_between(a, b)
-        assert all(u_cmp(f, z) < 0 for f in a)
-        assert all(u_cmp(z, g) < 0 for g in b)
+        assert all(u_cmp_oracle(f, z) < 0 for f in a)
+        assert all(u_cmp_oracle(z, g) < 0 for g in b)
         assert bfs_minimal_witnesses(a, b, len(z)) == [z]
 
 
@@ -154,7 +165,7 @@ def test_back_and_forth_strings_to_dyadics():
     assert len(m) == 20
     items = list(m.items())
     for (s1, d1), (s2, d2) in itertools.combinations(items, 2):
-        assert u_cmp(s1, s2) == ((d2 < d1) - (d1 < d2))
+        assert u_cmp_oracle(s1, s2) == ((d2 < d1) - (d1 < d2))
     # reversing the roles inverts the map on the common prefix
     inv = back_and_forth(dyadic_side(), binstring_side(), 40)
     common = set(m.items()) & {(s, d) for d, s in inv.items()}
@@ -165,12 +176,23 @@ def test_back_and_forth_witness_failure_is_reported():
     broken = OrderSide(
         "broken",
         lambda: iter([0, 1, 2]),
-        lambda a, b: (a > b) - (a < b),
+        lambda x: x,
         lambda lo, hi: 0,  # constant, eventually not between
     )
     with pytest.raises(WitnessError) as exc:
         back_and_forth(binstring_side(), broken, 8)
     assert exc.value.side == "broken"
+
+
+def test_back_and_forth_at_20000_rounds():
+    # each string meets the dyadic whose sign expansion it is
+    m = back_and_forth(binstring_side(), dyadic_side(), 20000)
+    assert len(m) == 10000
+    for s, d in m.items():
+        assert sign_walk(int("1" + s, 2))[0] == Fraction(d.num, d.den)
+    start = time.perf_counter()
+    Session().run_line(":bnf 20000")
+    assert time.perf_counter() - start < 2.0
 
 
 def test_classify_cut_examples():
