@@ -9,9 +9,8 @@ Subpackages:
 - `ordinal`: Cantor-normal-form arithmetic below epsilon_0.
 - `surreal`: dyadic rationals as finite-birthday surreal numbers, the
   simplicity operator, Conway's recursive arithmetic, sign expansions.
-- `wforder`: well-foundedness, rank, recursion folds, the Mostowski
-  collapse, and the constructive Cantor-Bernstein bijection on finite
-  relations.
+- `wforder`: well-foundedness, rank, recursion folds and the Mostowski
+  collapse on finite relations.
 - `linorder`: cuts, cut extension, the universal order on binary
   strings, back-and-forth isomorphisms, and a gap classifier.
 - `numtower`: integers and reduced fractions with their encodings as
@@ -35,7 +34,7 @@ from .hfset import HFSet
 from .numtower import Frac
 from .ordinal import CnfOrdinal
 from .surreal import Dyadic, SignExpansion
-from .wforder import FinDigraph, FinInjection
+from .wforder import FinDigraph
 from .linorder import FinOrder
 
 __version__ = "0.1.0"
@@ -47,7 +46,6 @@ __all__ = [
     "SignExpansion",
     "Frac",
     "FinDigraph",
-    "FinInjection",
     "FinOrder",
     "KernelError",
     "BudgetError",

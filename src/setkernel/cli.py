@@ -141,10 +141,11 @@ def _cmd_cnf(a):
 
 def _call(name, values):
     """Apply the value command `name`; a wrong argument count is an EvalError."""
-    try:
-        return _VALUE_COMMANDS[name](*values)
-    except TypeError as exc:
-        raise EvalError(f"{name}: {exc}") from exc
+    fn = _VALUE_COMMANDS[name]
+    want = fn.__code__.co_argcount
+    if len(values) != want:
+        raise EvalError(f"{name} takes {want} argument{'s' * (want != 1)}, got {len(values)}")
+    return fn(*values)
 
 
 class Evaluator:

@@ -9,6 +9,11 @@ class BudgetError(KernelError):
     """A computation would exceed a configured resource budget."""
 
 
+# The one int-size bound: no Ackermann code, natural power or sign
+# expansion is built past about this many bits.
+MAX_INT_BITS = 1 << 16
+
+
 class PreconditionError(KernelError, ValueError):
     """An operation was called on arguments outside its domain."""
 

@@ -35,7 +35,7 @@ import weakref
 from functools import cmp_to_key
 from itertools import chain
 
-from .errors import BudgetError, ParseError, PreconditionError
+from .errors import MAX_INT_BITS, BudgetError, ParseError, PreconditionError
 
 DEFAULT_MAX_ELEMENTS = 10 ** 6
 
@@ -454,20 +454,18 @@ def cantor_diagonal(f, x):
     return HFSet(z for z in x if z not in f[z])
 
 
-# Every set of rank <= 5 has a code below |V_6| = 2^65536; a larger code
-# is refused before its shift is attempted.
-ENCODE_MAX_BITS = 1 << 16
-
-
 def ackermann_encode(x):
-    """The code sum(2**code(e) for e in x); a bijection onto the naturals."""
+    """The code sum(2**code(e) for e in x); a bijection onto the naturals.
+
+    Every set of rank <= 5 has a code below |V_6| = 2^65536; a code of more
+    than MAX_INT_BITS bits is refused before its shift is attempted."""
     code = {}
     for s in _bottom_up(x):
         n = 0
         for e in s._elems:
             c = code[e]
-            if c >= ENCODE_MAX_BITS:
-                raise BudgetError(f"the Ackermann code of a rank-{s._rank} set has more than {ENCODE_MAX_BITS} bits")
+            if c >= MAX_INT_BITS:
+                raise BudgetError(f"the Ackermann code of a rank-{s._rank} set has more than {MAX_INT_BITS} bits")
             n += 1 << c
         code[s] = n
     return code[x]

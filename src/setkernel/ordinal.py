@@ -11,7 +11,7 @@ The public `CnfOrdinal(terms)` validates its terms; the module's results
 come from the private `_make`, which trusts terms canonical by construction.
 Both refuse more than MAX_TERMS terms or exponents nested past
 MAX_EXPONENT_DEPTH, and `nat_pow` refuses an integer power of more than
-about MAX_POW_BITS bits before computing it; each raises BudgetError.
+about MAX_INT_BITS bits before computing it; each raises BudgetError.
 
 There is no right subtraction: a + c = b + c does not force a = b (for
 example 1 + w = 2 + w), so only the left-sided `lsub` is provided.
@@ -19,11 +19,10 @@ example 1 + w = 2 + w), so only the left-sided `lsub` is provided.
 
 import enum
 
-from .errors import BudgetError, PreconditionError, ZeroDivisorError
+from .errors import MAX_INT_BITS, BudgetError, PreconditionError, ZeroDivisorError
 
 MAX_EXPONENT_DEPTH = 64
 MAX_TERMS = 1 << 14
-MAX_POW_BITS = 1 << 16
 
 
 class Kind(enum.Enum):
@@ -268,9 +267,9 @@ def ord_divmod(b, a):
 
 
 def nat_pow(k, n):
-    """k ** n for naturals; BudgetError past about MAX_POW_BITS bits (never for 0^n or 1^n)."""
-    if n * (k.bit_length() - 1) > MAX_POW_BITS:
-        raise BudgetError(f"an integer power of more than {MAX_POW_BITS} bits")
+    """k ** n for naturals; BudgetError past about MAX_INT_BITS bits (never for 0^n or 1^n)."""
+    if n * (k.bit_length() - 1) > MAX_INT_BITS:
+        raise BudgetError(f"an integer power of more than {MAX_INT_BITS} bits")
     return k ** n
 
 

@@ -22,17 +22,22 @@ the Theory of Surreal Numbers, ch. 3): an option drops the last + or -
 and every sign after it, order is int order once a 1 is appended and
 the shorter code padded with 0s, and the simplest value between two
 codes is their longest common prefix, or a shift of the longer code
-when one is a prefix of the other.  Codes live inside the core, whose
-work already grows with the birthday, and in `from_signs` and
-`born_by`, whose input or output is as long.  A Dyadic computes its code
-from (num, k) on first use and keeps it; a result is built straight from
-its code.  The public `simplest`, `options` and `birthday` work in
-closed form on (num, k), so `birthday(Dyadic(2**100))` builds no code.
+when one is a prefix of the other.  A Dyadic computes its code from
+(num, k) on first use and keeps it; a result is built straight from its
+code.  The public `simplest`, `options` and `birthday` work in closed
+form on (num, k), so `birthday(Dyadic(2**100))` builds no code.
+
+A SignExpansion is a code as well, so `to_signs`, `from_signs`,
+`born_by` and `enumerate_dyadics` are closed forms over codes: the codes
+born by day n, padded as `_lt` pads them, are one run of consecutive
+ints, and the codes in int order come by birthday and then by value.
+`to_signs` refuses an expansion of more than MAX_INT_BITS signs from the
+birthday alone, before it builds the code.
 """
 
 import itertools
 
-from .errors import BudgetError, PreconditionError
+from .errors import MAX_INT_BITS, BudgetError, PreconditionError
 from .numtower import Frac, _parse_ratio
 
 
@@ -353,69 +358,70 @@ def conway_mul(x, y):
 class SignExpansion:
     """A finite +/- word locating a number in the cut-extension tree.
 
-    Stored as a bit string over '01' with '+' as '1' and '-' as '0'; the
-    length equals the birthday of the number it denotes.
+    Stored as its sign code: a leading 1 and then the signs, + as 1 and -
+    as 0.  The length equals the birthday of the number it denotes.
     """
 
-    __slots__ = ("bits",)
+    __slots__ = ("code",)
 
     def __init__(self, bits=""):
         if isinstance(bits, SignExpansion):
-            bits = bits.bits
+            self.code = bits.code
+            return
         bits = bits.replace("+", "1").replace("-", "0")
         if any(c not in "01" for c in bits):
             raise PreconditionError(f"sign expansion must be over +/- or 0/1, got {bits!r}")
-        self.bits = bits
+        self.code = int("1" + bits, 2)
+
+    @property
+    def bits(self):
+        """The signs over '01', + as '1' and - as '0'."""
+        return bin(self.code)[3:]
 
     def __hash__(self):
-        return hash(self.bits)
+        return hash(self.code)
 
     def __eq__(self, other):
         if not isinstance(other, SignExpansion):
             return NotImplemented
-        return self.bits == other.bits
+        return self.code == other.code
 
     def __len__(self):
-        return len(self.bits)
+        return self.code.bit_length() - 1
 
     def __str__(self):
-        return "".join("+" if c == "1" else "-" for c in self.bits)
+        return self.bits.replace("1", "+").replace("0", "-")
 
     def __repr__(self):
         return f"SignExpansion({str(self)!r})"
 
 
 def to_signs(x):
-    """Walk the birth tree toward x, recording the turns."""
-    bits = []
-    lo = []
-    hi = []
-    z = ZERO
-    while z != x:
-        if x > z:
-            bits.append("1")
-            lo = [z]
-        else:
-            bits.append("0")
-            hi = [z]
-        z = simplest(lo, hi)
-    return SignExpansion("".join(bits))
+    """x's sign expansion, read off its code; BudgetError, before any code
+    is built, when its birthday (the expansion's length) passes MAX_INT_BITS."""
+    if birthday(x) > MAX_INT_BITS:
+        raise BudgetError(f"a sign expansion of more than {MAX_INT_BITS} signs")
+    s = _new(SignExpansion)
+    s.code = _code(x)
+    return s
 
 
 def from_signs(s):
-    return _from_code(int("1" + SignExpansion(s).bits, 2))
+    return _from_code(SignExpansion(s).code)
 
 
 def born_by(n):
     """All dyadics of birthday <= n, ascending; there are 2**(n+1) - 1."""
-    # the codes of up to n + 1 bits, in value order: _lt with every code padded to n + 2 bits
-    codes = sorted(range(1, 2 << n), key=lambda c: ((c << 1) | 1) << (n + 1 - c.bit_length()))
-    return [_from_code(c) for c in codes]
+    # padded to n + 2 bits as _lt pads them, the codes of up to n + 1 bits
+    # are the ints strictly between 2**(n+1) and 2**(n+2), in value order;
+    # p's code is p less its trailing 0s and the 1 above them
+    top = 1 << (n + 1)
+    return [_from_code(p >> (p & -p).bit_length()) for p in range(top + 1, top << 1)]
 
 
 def enumerate_dyadics():
-    """All dyadics in (birthday, value) order: 0, -1, 1, -2, -1/2, ..."""
-    yield ZERO
-    for day in itertools.count(1):
-        # born_by(day) alternates the values born on `day` with the older ones
-        yield from born_by(day)[::2]
+    """All dyadics in (birthday, value) order: 0, -1, 1, -2, -1/2, ...
+
+    Codes in int order come by length, which is the birthday, and within
+    one length int order is value order."""
+    return map(_from_code, itertools.count(1))

@@ -1,6 +1,6 @@
 """Algorithms on finite relations: well-foundedness, rank, recursion,
-the Mostowski-Shepherdson collapse, and the constructive
-Cantor-Bernstein bijection.
+the Mostowski-Shepherdson collapse, and the Cantor-Bernstein bijection,
+which on finite maps is the forward injection itself.
 
 A FinDigraph edge (x, y) reads "x is a strict predecessor of y"; the
 predecessor set of x always excludes x itself, so a lone self-loop is
@@ -167,62 +167,24 @@ def mostowski(g):
     return image, is_iso
 
 
-class FinInjection:
-    """A finite injective map, validated at construction."""
-
-    __slots__ = ("forward",)
-
-    def __init__(self, forward):
-        forward = dict(forward)
-        if len(set(forward.values())) != len(forward):
-            raise PreconditionError("map is not injective")
-        self.forward = forward
-
-    def __len__(self):
-        return len(self.forward)
-
-    def __getitem__(self, x):
-        return self.forward[x]
-
-
 def cbs_bijection(f, g):
     """The Cantor-Bernstein bijection X -> Y built from injections
-    f: X -> Y and g: Y -> X.
+    f: X -> Y and g: Y -> X, given as finite maps.
 
-    X is layered by X_0 = X, X_1 = g[Y], X_{n+2} = g[f[X_n]]; the
-    bijection applies f on even-minus-odd layers and the core, and the
-    inverse of g on odd-minus-even layers.
+    On finite maps it is f itself.  f injects X into Y and g injects Y into
+    X, so |X| <= |Y| <= |X|; an injection between finite sets of one size
+    is onto, so f is a bijection.  In the layering X_0 = X, X_1 = g[Y],
+    X_{n+2} = g[f[X_n]] every layer is then X: every x lies in the core,
+    where the construction applies f.
     """
-    f = dict(f.forward) if isinstance(f, FinInjection) else dict(f)
-    g = dict(g.forward) if isinstance(g, FinInjection) else dict(g)
+    f = dict(f)
+    g = dict(g)
     if len(set(f.values())) != len(f):
         raise PreconditionError("f is not injective")
     if len(set(g.values())) != len(g):
         raise PreconditionError("g is not injective")
-    X = set(f)
-    Y = set(g)
-    if not set(f.values()) <= Y:
+    if not set(f.values()) <= set(g):
         raise PreconditionError("f must map into the domain of g")
-    if not set(g.values()) <= X:
+    if not set(g.values()) <= set(f):
         raise PreconditionError("g must map into the domain of f")
-
-    g_inv = {v: k for k, v in g.items()}
-    layers = [X, {g[y] for y in Y}]
-    while True:
-        nxt = {g[f[x]] for x in layers[-2]}
-        if nxt == layers[-2]:
-            break
-        layers.append(nxt)
-
-    h = {}
-    for x in X:
-        depth = 0
-        while depth < len(layers) and x in layers[depth]:
-            depth += 1
-        if depth >= len(layers):
-            h[x] = f[x]  # core: x survives every layer
-        elif depth % 2 == 1:
-            h[x] = f[x]  # x in X_{2n} \ X_{2n+1}
-        else:
-            h[x] = g_inv[x]  # x in X_{2n+1} \ X_{2n+2}
-    return h
+    return f

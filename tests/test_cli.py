@@ -97,9 +97,10 @@ def test_parse_is_total(line):
         pass
 
 
-# Expression lines over every sort.  The commands with output of no
-# bound (signs, encode, and the colon commands :signs, :bnf, :collapse)
-# are left out until one budget caps output (ROADMAP item 3).
+# Expression lines over every sort.  signs is in: it refuses an expansion
+# of more than MAX_INT_BITS signs.  The commands whose output still has no
+# bound (encode and the colon commands :bnf and :collapse) are left out
+# until one budget caps output (ROADMAP item 1).
 _NAMES = ("x", "y")
 _ATOMS = st.one_of(
     st.integers(0, 9).map(str),
@@ -118,7 +119,7 @@ _EXPRS = st.recursive(
         st.lists(e, max_size=3).map(lambda xs: "{" + ", ".join(xs) + "}"),
         st.builds(
             lambda name, args: " ".join([name] + [f"({a})" for a in args]),
-            st.sampled_from(("cnf", "hess", "divmod", "birthday", "simp", "rank", "tc", "nope")),
+            st.sampled_from(("cnf", "hess", "divmod", "birthday", "signs", "simp", "rank", "tc", "nope")),
             st.lists(e, min_size=1, max_size=2),
         ),
     ),
@@ -134,6 +135,7 @@ _LINE_BUDGET_S = 2.0
 @example(["9^9^9", "(w+1)^100000000", "w^(w^(w+1)*2)^1000000", "2^65536 * 2^65536 + 1/3"])
 @example(["simp {0, 1/2} {3/4}", "birthday (1000000/1024)", "divmod (w^w*3+w) (w*2)"])
 @example(["signs 3 + 1", "1 + signs 3", "signs 2^70", "let x = signs 3", "x * 2", "divmod 3 2 + 1"])
+@example(["signs (2^60)", ":signs 2^60", ":signs 65537", ":signs -3/4"])
 def test_eval_is_total(lines):
     """Each line ends, within a wall budget, in a value or a typed error."""
     session = Session()
@@ -287,6 +289,18 @@ def test_file_commands(tmp_path):
 )
 def test_number_sets_render_in_exact_order(line, shown):
     assert render(Session().run_line(line)) == shown
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        (":signs", "signs takes 1 argument, got 0"),
+        (":signs 1 2", "signs takes 1 argument, got 2"),
+        ("hess 1", "hess takes 2 arguments, got 1"),
+    ],
+)
+def test_argument_count_errors(line, message):
+    assert Session().outcome(line) == (1, message)
 
 
 @pytest.mark.parametrize("line", ["9^9^9", "(w+1)^100000000", "3^(w+100000000)"])

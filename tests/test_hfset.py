@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from setkernel import hfset, numtower, wforder
-from setkernel.errors import BudgetError, ParseError, PreconditionError
+from setkernel.errors import MAX_INT_BITS, BudgetError, ParseError, PreconditionError
 from setkernel.hfset import (
     GoedelTree,
     HFSet,
@@ -305,7 +305,7 @@ def test_ackermann_encode_examples():
 def test_ackermann_encode_caps_code_bits():
     # the largest shift that still fits: V_4 has code 2^16 - 1
     top = singleton(v_stage(4))
-    assert ackermann_encode(top) == 1 << (hfset.ENCODE_MAX_BITS - 1)
+    assert ackermann_encode(top) == 1 << (MAX_INT_BITS - 1)
     assert ackermann_decode(ackermann_encode(top)) is top
     for x in (vn_nat(6), singleton(top), _singleton_chain(5000)):
         with pytest.raises(BudgetError):

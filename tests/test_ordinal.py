@@ -4,7 +4,7 @@ import random
 import pytest
 
 from setkernel import ordinal
-from setkernel.errors import BudgetError, PreconditionError
+from setkernel.errors import MAX_INT_BITS, BudgetError, PreconditionError
 from setkernel.ordinal import (
     OMEGA,
     ONE,
@@ -329,7 +329,7 @@ def test_term_cap():
 
 
 def test_nat_pow_caps_bits():
-    bits = ordinal.MAX_POW_BITS
+    bits = MAX_INT_BITS
     assert ordinal.nat_pow(2, bits) == 1 << bits
     assert ordinal.nat_pow(3, 4) == 81
     for k, n in [(2, bits + 1), (9, 9 ** 9), (3, 100000000)]:

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from setkernel.cli import Session
 from setkernel.errors import BudgetError, KernelError, PreconditionError
 from setkernel.numtower import Frac, parse_frac
 from setkernel.surreal import (
@@ -161,11 +162,28 @@ def test_sign_expansion_roundtrip_and_length():
         assert from_signs(s) == d
     assert from_signs("+-") == HALF
     assert from_signs(SignExpansion("10")) == HALF
+    # the signs read off each code, against the value the birth-tree walk gives it
+    for code, (v, _, _) in birth_tree(10).items():
+        signs = bin(code)[3:].replace("1", "+").replace("0", "-")
+        assert str(to_signs(D(v.numerator, v.denominator.bit_length() - 1))) == signs
+
+
+def test_sign_expansion_length_is_capped():
+    assert len(to_signs(D(1 << 16))) == 1 << 16
+    for day in (2 ** 16 + 1, 2 ** 60, 10 ** 5000):
+        huge = D(day)
+        start = time.perf_counter()
+        with pytest.raises(BudgetError):
+            to_signs(huge)
+        assert time.perf_counter() - start < 0.1
+    assert Session().outcome(":signs 2^60")[0] == 1
 
 
 def test_stage_cardinalities():
     for n in range(9):
         assert len(born_by(n)) == (1 << (n + 1)) - 1
+    for n in range(11):
+        assert [frac_value(d) for d in born_by(n)] == sorted(v for v, _, _ in birth_tree(n).values())
     no4 = born_by(3)
     assert len(no4) == 15
     assert len(born_by(4)) == 31

@@ -8,7 +8,6 @@ from setkernel.errors import NotWellFoundedError, NotWellOrderError, Preconditio
 from setkernel.hfset import HFSet
 from setkernel.wforder import (
     FinDigraph,
-    FinInjection,
     cbs_bijection,
     digraph_from_edge_text,
     digraph_from_json,
@@ -260,7 +259,7 @@ def test_cbs_random_bijections():
         ys = [f"y{i}" for i in range(ny)]
         f = dict(zip(xs, rng.sample(ys, nx)))
         g = dict(zip(ys, rng.sample(xs, ny)))
-        h = cbs_bijection(FinInjection(f), FinInjection(g))
+        h = cbs_bijection(f, g)
         assert sorted(h) == sorted(xs)
         assert sorted(h.values()) == sorted(ys)
         for x, y in h.items():
