@@ -4,10 +4,16 @@ Sorts are inferred bottom-up: 'w' forces the ordinal sort, a fraction or
 negative literal the rational sort, braces the set sort, and bare
 naturals stay polymorphic until an operator or command picks a side.
 Mixed-sort arithmetic is rejected rather than coerced.
+
+A `Session` holds the `let` bindings and evaluates lines.  Each command
+is one table row: its function and one reader per argument.  Every
+command reports a wrong argument count in one form, such as
+`signs takes 1 argument, got 0`.
 """
 
 import argparse
 import json
+import operator
 import sys
 
 from . import hfset, linorder, numtower, ordinal, surreal, syntax, wforder
@@ -83,72 +89,34 @@ def _apply_bin(op, a, b):
     return ordinal.nat_pow(a, b)
 
 
-_VALUE_COMMANDS = {}
+# A command is one row, name -> (function, one reader per argument).  Value
+# commands also run inside expressions, so their readers coerce evaluated
+# values; the colon-only commands of _TEXT_COMMANDS read their raw text.
+_VALUE_COMMANDS = {
+    "simp": (surreal.simplest, _as_numset, _as_numset),
+    "hess": (ordinal.hessenberg, _as_ordinal, _as_ordinal),
+    "divmod": (ordinal.ord_divmod, _as_ordinal, _as_ordinal),
+    "birthday": (surreal.birthday, _as_dyadic),
+    "signs": (surreal.to_signs, _as_dyadic),
+    "tc": (hfset.tc, _as_hfset),
+    "rank": (hfset.rank_in, _as_hfset),
+    "encode": (numtower.q_encode, _as_frac),
+    "cnf": (lambda a: a, _as_ordinal),
+}
 
 
-def _command(name):
-    def reg(fn):
-        _VALUE_COMMANDS[name] = fn
-        return fn
-
-    return reg
-
-
-@_command("simp")
-def _cmd_simp(a, b):
-    return surreal.simplest(_as_numset(a), _as_numset(b))
+def _apply(name, row, args):
+    """Run command `name` from its row; a wrong argument count is an EvalError."""
+    want = len(row) - 1
+    if len(args) != want:
+        raise EvalError(f"{name} takes {want} argument{'s' * (want != 1)}, got {len(args)}")
+    # map, not a comprehension: a comprehension adds a frame to every command
+    return row[0](*map(operator.call, row[1:], args))
 
 
-@_command("hess")
-def _cmd_hess(a, b):
-    return ordinal.hessenberg(_as_ordinal(a), _as_ordinal(b))
+class Session:
+    """One REPL or batch session: its `let` bindings and the evaluator."""
 
-
-@_command("divmod")
-def _cmd_divmod(b, a):
-    return ordinal.ord_divmod(_as_ordinal(b), _as_ordinal(a))
-
-
-@_command("birthday")
-def _cmd_birthday(x):
-    return surreal.birthday(_as_dyadic(x))
-
-
-@_command("signs")
-def _cmd_signs(x):
-    return surreal.to_signs(_as_dyadic(x))
-
-
-@_command("tc")
-def _cmd_tc(x):
-    return hfset.tc(_as_hfset(x))
-
-
-@_command("rank")
-def _cmd_rank(x):
-    return hfset.rank_in(_as_hfset(x))
-
-
-@_command("encode")
-def _cmd_encode(x):
-    return numtower.q_encode(_as_frac(x))
-
-
-@_command("cnf")
-def _cmd_cnf(a):
-    return _as_ordinal(a)
-
-
-def _call(name, values):
-    """Apply the value command `name`; a wrong argument count is an EvalError."""
-    fn = _VALUE_COMMANDS[name]
-    want = fn.__code__.co_argcount
-    if len(values) != want:
-        raise EvalError(f"{name} takes {want} argument{'s' * (want != 1)}, got {len(values)}")
-    return fn(*values)
-
-
-class Evaluator:
     def __init__(self):
         self.env = {}
 
@@ -171,9 +139,10 @@ class Evaluator:
         raise EvalError(f"unbound name {node.name!r}")
 
     def _eval_call(self, node):
-        if node.name not in _VALUE_COMMANDS:
+        row = _VALUE_COMMANDS.get(node.name)
+        if row is None:
             raise EvalError(f"unknown command {node.name!r}")
-        return _call(node.name, [self.eval_node(a) for a in node.args])
+        return _apply(node.name, row, [self.eval_node(a) for a in node.args])
 
     def _eval_let(self, node):
         self.env[node.name] = value = self.eval_node(node.expr)
@@ -192,17 +161,45 @@ class Evaluator:
     def eval_text(self, text):
         return self.eval_node(syntax.parse(text))
 
+    def run_line(self, line):
+        line = line.strip()
+        if not line.startswith(":"):
+            return self.eval_text(line)
+        parts = _split_args(line[1:])
+        if not parts:
+            raise EvalError("empty command")
+        name, args = parts[0], parts[1:]
+        row = _VALUE_COMMANDS.get(name)
+        if row is not None:
+            return _apply(name, row, [self.eval_text(a) for a in args])
+        row = _TEXT_COMMANDS.get(name)
+        if row is None:
+            raise EvalError(f"unknown command {name!r}")
+        return _apply(name, row, args)
 
-# node class -> handler; the one dispatch point of Evaluator.eval_node
+    def outcome(self, line):
+        """Run and render one line: (0, text), (1, eval error) or (2, syntax error).
+
+        The code is the line's exit status; this is the CLI's error contract.
+        """
+        try:
+            return 0, render(self.run_line(line))
+        except ParseError as exc:
+            return 2, str(exc)
+        except (KernelError, ZeroDivisionError) as exc:
+            return 1, str(exc)
+
+
+# node class -> handler; the one dispatch point of Session.eval_node
 _EVAL = {
     syntax.Nat: lambda self, node: node.value,
     syntax.Rat: lambda self, node: Frac(node.num, node.den),
     syntax.WSym: lambda self, node: ordinal.OMEGA,
-    syntax.Bin: Evaluator._eval_bin,
-    syntax.SetLit: Evaluator._eval_setlit,
-    syntax.Var: Evaluator._eval_var,
-    syntax.Call: Evaluator._eval_call,
-    syntax.Let: Evaluator._eval_let,
+    syntax.Bin: Session._eval_bin,
+    syntax.SetLit: Session._eval_setlit,
+    syntax.Var: Session._eval_var,
+    syntax.Call: Session._eval_call,
+    syntax.Let: Session._eval_let,
 }
 
 
@@ -293,83 +290,49 @@ def _parse_binset(tok):
     return [_parse_binstring(tok)]
 
 
-class Session:
-    """Shared machinery for the REPL and batch mode."""
+def _bnf(arg):
+    n = _parse_int(arg, "usage: :bnf N")
+    if n < 0:
+        raise EvalError(f"usage: :bnf N: {n} is negative")
+    m = linorder.back_and_forth(linorder.binstring_side(), linorder.dyadic_side(), n)
+    return {k if k else '""': v for k, v in m.items()}
 
-    def __init__(self):
-        self.evaluator = Evaluator()
 
-    def run_line(self, line):
-        line = line.strip()
-        if line.startswith(":"):
-            return self.run_command(line[1:])
-        return self.evaluator.eval_text(line)
+def _cutclass(kind, arg):
+    if kind == "sqrt":
+        return linorder.classify_cut(linorder.SqrtThreshold(_parse_int(arg, "usage: :cutclass sqrt N")))
+    if kind in ("left", "right"):
+        q = numtower.parse_frac(arg)
+        spec = linorder.AtRationalLeftClosed(q) if kind == "left" else linorder.AtRationalRightClosed(q)
+        return linorder.classify_cut(spec)
+    raise EvalError("usage: :cutclass sqrt N | :cutclass left Q | :cutclass right Q")
 
-    def run_command(self, text):
-        parts = _split_args(text)
-        if not parts:
-            raise EvalError("empty command")
-        name, args = parts[0], parts[1:]
-        if name in _VALUE_COMMANDS:
-            return _call(name, [self.evaluator.eval_text(a) for a in args])
-        if name == "ucmp":
-            if len(args) != 2:
-                raise EvalError("usage: :ucmp STRING STRING")
-            c = linorder.u_cmp(_parse_binstring(args[0]), _parse_binstring(args[1]))
-            return {-1: "LT", 0: "EQ", 1: "GT"}[c]
-        if name == "between":
-            if len(args) != 2:
-                raise EvalError("usage: :between {S,...} {S,...}")
-            return linorder.insert_between(_parse_binset(args[0]), _parse_binset(args[1]))
-        if name == "bnf":
-            if len(args) != 1:
-                raise EvalError("usage: :bnf N")
-            n = _parse_int(args[0], "usage: :bnf N")
-            if n < 0:
-                raise EvalError(f"usage: :bnf N: {n} is negative")
-            m = linorder.back_and_forth(linorder.binstring_side(), linorder.dyadic_side(), n)
-            return {k if k else '""': v for k, v in m.items()}
-        if name == "cutclass":
-            return self._cutclass(args)
-        if name == "collapse":
-            if len(args) != 1:
-                raise EvalError("usage: :collapse GRAPHFILE")
-            g = wforder.digraph_from_edge_text(_read_text(args[0]))
-            image, is_iso = wforder.mostowski(g)
-            return {k: image[k] for k in sorted(image, key=str)} | {"extensional": is_iso}
-        if name == "cbs":
-            if len(args) != 1:
-                raise EvalError("usage: :cbs MAPFILE")
-            try:
-                payload = json.loads(_read_text(args[0]))
-            except (ValueError, RecursionError) as exc:
-                raise EvalError(f"{args[0]} is not JSON: {exc}") from exc
-            maps = [payload.get(k) if isinstance(payload, dict) else None for k in ("f", "g")]
-            if not all(isinstance(m, dict) and all(isinstance(v, str) for v in m.values()) for m in maps):
-                raise EvalError(f"{args[0]} needs the keys \"f\" and \"g\", each an object of strings")
-            return wforder.cbs_bijection(*maps)
-        raise EvalError(f"unknown command {name!r}")
 
-    def _cutclass(self, args):
-        if len(args) == 2 and args[0] == "sqrt":
-            return linorder.classify_cut(linorder.SqrtThreshold(_parse_int(args[1], "usage: :cutclass sqrt N")))
-        if len(args) == 2 and args[0] in ("left", "right"):
-            q = numtower.parse_frac(args[1])
-            spec = linorder.AtRationalLeftClosed(q) if args[0] == "left" else linorder.AtRationalRightClosed(q)
-            return linorder.classify_cut(spec)
-        raise EvalError("usage: :cutclass sqrt N | :cutclass left Q | :cutclass right Q")
+def _collapse(path):
+    g = wforder.digraph_from_edge_text(_read_text(path))
+    image, is_iso = wforder.mostowski(g)
+    return {k: image[k] for k in sorted(image, key=str)} | {"extensional": is_iso}
 
-    def outcome(self, line):
-        """Run and render one line: (0, text), (1, eval error) or (2, syntax error).
 
-        The code is the line's exit status; this is the CLI's error contract.
-        """
-        try:
-            return 0, render(self.run_line(line))
-        except ParseError as exc:
-            return 2, str(exc)
-        except (KernelError, ZeroDivisionError) as exc:
-            return 1, str(exc)
+def _cbs(path):
+    try:
+        payload = json.loads(_read_text(path))
+    except (ValueError, RecursionError) as exc:
+        raise EvalError(f"{path} is not JSON: {exc}") from exc
+    maps = [payload.get(k) if isinstance(payload, dict) else None for k in ("f", "g")]
+    if not all(isinstance(m, dict) and all(isinstance(v, str) for v in m.values()) for m in maps):
+        raise EvalError(f"{path} needs the keys \"f\" and \"g\", each an object of strings")
+    return wforder.cbs_bijection(*maps)
+
+
+_TEXT_COMMANDS = {
+    "ucmp": (lambda a, b: {-1: "LT", 0: "EQ", 1: "GT"}[linorder.u_cmp(a, b)], _parse_binstring, _parse_binstring),
+    "between": (linorder.insert_between, _parse_binset, _parse_binset),
+    "bnf": (_bnf, str),
+    "cutclass": (_cutclass, str, str),
+    "collapse": (_collapse, str),
+    "cbs": (_cbs, str),
+}
 
 
 def run_batch(path, keep_going=False, fmt="text", out=None):

@@ -295,30 +295,25 @@ def rank_in(x):
     return x._rank
 
 
-V_STAGE_CAP = 4
-
-
 def v_stage(n):
     """The von Neumann stage V_n, materialized only for n <= 4."""
     if n < 0:
         raise PreconditionError("v_stage needs a nonnegative integer")
-    if n > V_STAGE_CAP:
-        raise BudgetError(f"v_stage({n}) exceeds the materialization cap {V_STAGE_CAP}")
+    size = v_size(n)
+    if size > len(_V4):
+        raise BudgetError(f"v_stage({n}) is past V_4, the last stage materialized")
     # V_n is the set of the first |V_n| codes
-    return _node(_V4[:v_size(n)])
-
-
-V_SIZE_CAP = 6
+    return _node(_V4[:size])
 
 
 def v_size(n):
     """|V_n| by iterated exponentiation: 0, 1, 2, 4, 16, 65536, 2^65536."""
     if n < 0:
         raise PreconditionError("v_size needs a nonnegative integer")
-    if n > V_SIZE_CAP:
-        raise BudgetError(f"v_size({n}) is not representable (cap {V_SIZE_CAP})")
     s = 0
     for _ in range(n):
+        if s > MAX_INT_BITS:
+            raise BudgetError(f"v_size({n}) is 2^k with k above {MAX_INT_BITS}")
         s = 1 << s
     return s
 
@@ -414,11 +409,6 @@ class GoedelTree:
         self.height = height
         self.labels = labels
 
-    def subtree(self, bit):
-        """The labeled subtree rooted at child `bit` of the root."""
-        sub = {v[1:]: lab for v, lab in self.labels.items() if v and v[0] == bit}
-        return GoedelTree(self.height - 1, sub)
-
 
 def goedel_tree_eval(tree, xs):
     """Evaluate the operation composition coded by `tree` on a leaf tuple.
@@ -431,14 +421,14 @@ def goedel_tree_eval(tree, xs):
         raise PreconditionError(
             f"need {1 << tree.height} leaf values for height {tree.height}, got {len(xs)}"
         )
-    if tree.height == 0:
-        return xs[0]
-    if tree.height == 1:
-        return goedel_op(tree.labels[""], xs[0], xs[1])
-    half = len(xs) // 2
-    left = goedel_tree_eval(tree.subtree("0"), xs[:half])
-    right = goedel_tree_eval(tree.subtree("1"), xs[half:])
-    return goedel_op(tree.labels[""], left, right)
+    # fold from the leaves up: vertex i of a level joins values 2i and 2i+1
+    # of the level below
+    for depth in reversed(range(tree.height)):
+        xs = tuple(
+            goedel_op(tree.labels[format(i, f"0{depth}b") if depth else ""], xs[2 * i], xs[2 * i + 1])
+            for i in range(1 << depth)
+        )
+    return xs[0]
 
 
 def cantor_diagonal(f, x):

@@ -110,34 +110,47 @@ def _require_order(g):
 
 def rank_map(g):
     """The least strictly increasing labeling: rank(x) = sup(rank(pred)+1)."""
-    ranks = {}
-    for v in _require_order(g):
-        ranks[v] = max((ranks[p] + 1 for p in g.preds(v)), default=0)
-    return ranks
+    return recursion_fold(g, lambda v, ranks: max(ranks, default=-1) + 1)
 
 
 def order_type(g):
     """The order type |nodes| of a strict finite linear order.
 
     Raises NotWellOrderError naming the first violated axiom with a
-    concrete witness tuple.
+    concrete witness tuple.  Node i in `repr` order is bit i of the
+    successor sets, and each witness is the first in that order, so it
+    does not depend on the hash seed.
     """
-    for x, y in g.edges:
-        if x == y:
-            raise NotWellOrderError("irreflexivity", (x,))
-    edge_set = g.edges
-    for x, y in edge_set:
-        for y2, z in edge_set:
-            if y2 == y and (x, z) not in edge_set and x != z:
-                raise NotWellOrderError("transitivity", (x, y, z))
     nodes = sorted(g.nodes, key=repr)
-    for i, x in enumerate(nodes):
-        for y in nodes[i + 1:]:
-            if (x, y) not in edge_set and (y, x) not in edge_set:
-                raise NotWellOrderError("totality", (x, y))
-            if (x, y) in edge_set and (y, x) in edge_set:
-                raise NotWellOrderError("antisymmetry", (x, y))
-    return len(g.nodes)
+    for x in nodes:
+        if (x, x) in g.edges:
+            raise NotWellOrderError("irreflexivity", (x,))
+    index = {v: i for i, v in enumerate(nodes)}
+    succ = [0] * len(nodes)
+    pred = [0] * len(nodes)
+    for x, y in g.edges:
+        succ[index[x]] |= 1 << index[y]
+        pred[index[y]] |= 1 << index[x]
+    for i, s in enumerate(succ):
+        rest = s
+        while rest:
+            j = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            # x < y < z without x < z; z = x is a 2-cycle, left to antisymmetry
+            bad = succ[j] & ~s & ~(1 << i)
+            if bad:
+                k = (bad & -bad).bit_length() - 1
+                raise NotWellOrderError("transitivity", (nodes[i], nodes[j], nodes[k]))
+    full = (1 << len(nodes)) - 1
+    for i in range(len(nodes)):
+        later = full >> (i + 1) << (i + 1)
+        neither = later & ~succ[i] & ~pred[i]
+        both = later & succ[i] & pred[i]
+        first = (neither | both) & -(neither | both)
+        if first:
+            axiom = "totality" if first & neither else "antisymmetry"
+            raise NotWellOrderError(axiom, (nodes[i], nodes[first.bit_length() - 1]))
+    return len(nodes)
 
 
 def recursion_fold(g, step):
@@ -160,9 +173,7 @@ def mostowski(g):
     extensional, and then f is a digraph isomorphism onto its range with
     the membership relation.
     """
-    image = {}
-    for v in _require_order(g):
-        image[v] = hfset.HFSet(image[p] for p in g.preds(v))
+    image = recursion_fold(g, lambda v, elems: hfset.HFSet(elems))
     is_iso = len(set(image.values())) == len(g.nodes)
     return image, is_iso
 

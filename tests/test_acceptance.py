@@ -368,7 +368,7 @@ def test_criterion_10_gap_classifier():
 def test_criterion_11_roundtrip_and_batch_determinism(tmp_path):
     with criterion(11, "round-trip fuzz and batch determinism", 10.0):
         rng = random.Random(111111)
-        ev = cli.Evaluator()
+        ev = cli.Session()
         for _ in range(4000):
             a = rand_ordinal(rng, 3, max_terms=3, max_coeff=9)
             assert ev.eval_text(str(a)) == a

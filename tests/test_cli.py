@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from setkernel import cli, hfset, ordinal, syntax
-from setkernel.cli import Evaluator, Session, render, run_batch
+from setkernel.cli import Session, render, run_batch
 from setkernel.errors import EvalError, ParseError, SortMismatchError
 from setkernel.numtower import Frac
 from setkernel.surreal import Dyadic
@@ -19,7 +19,7 @@ from helpers import rand_hfset, rand_ordinal
 
 
 def ev(text):
-    return Evaluator().eval_text(text)
+    return Session().eval_text(text)
 
 
 def test_parse_shapes():
@@ -97,10 +97,10 @@ def test_parse_is_total(line):
         pass
 
 
-# Expression lines over every sort.  signs is in: it refuses an expansion
-# of more than MAX_INT_BITS signs.  The commands whose output still has no
-# bound (encode and the colon commands :bnf and :collapse) are left out
-# until one budget caps output (ROADMAP item 1).
+# Expression lines over every sort and the value command table.  signs is
+# in: it refuses an expansion of more than MAX_INT_BITS signs.  The commands
+# whose output still has no bound (encode and the colon commands :bnf and
+# :collapse) are left out until one budget caps output (ROADMAP item 1).
 _NAMES = ("x", "y")
 _ATOMS = st.one_of(
     st.integers(0, 9).map(str),
@@ -119,7 +119,7 @@ _EXPRS = st.recursive(
         st.lists(e, max_size=3).map(lambda xs: "{" + ", ".join(xs) + "}"),
         st.builds(
             lambda name, args: " ".join([name] + [f"({a})" for a in args]),
-            st.sampled_from(("cnf", "hess", "divmod", "birthday", "signs", "simp", "rank", "tc", "nope")),
+            st.sampled_from(sorted(set(cli._VALUE_COMMANDS) - {"encode"}) + ["nope"]),
             st.lists(e, min_size=1, max_size=2),
         ),
     ),
@@ -229,7 +229,7 @@ def test_sort_mixing_rejected():
 
 
 def test_let_bindings():
-    e = Evaluator()
+    e = Session()
     e.eval_text("let a = w^2 + 1")
     assert render(e.eval_text("a * 2")) == "w^2*2+1"
     with pytest.raises(EvalError):
@@ -303,6 +303,14 @@ def test_argument_count_errors(line, message):
     assert Session().outcome(line) == (1, message)
 
 
+@pytest.mark.parametrize("name", sorted(cli._VALUE_COMMANDS.keys() | cli._TEXT_COMMANDS.keys()))
+def test_every_command_reports_one_argument_too_many(name):
+    want = len({**cli._VALUE_COMMANDS, **cli._TEXT_COMMANDS}[name]) - 1
+    line = ":" + " ".join([name] + ["1"] * (want + 1))
+    noun = "argument" if want == 1 else "arguments"
+    assert Session().outcome(line) == (1, f"{name} takes {want} {noun}, got {want + 1}")
+
+
 @pytest.mark.parametrize("line", ["9^9^9", "(w+1)^100000000", "3^(w+100000000)"])
 def test_huge_powers_end_in_budget_errors(line):
     code, text = Session().outcome(line)
@@ -373,7 +381,7 @@ def test_cbs_bad_map_file(tmp_path, content):
 
 def test_roundtrip_fuzz_parse_print():
     rng = random.Random(151)
-    e = Evaluator()
+    e = Session()
     for _ in range(300):
         a = rand_ordinal(rng, 3, max_terms=3, max_coeff=9)
         assert e.eval_text(str(a)) == a

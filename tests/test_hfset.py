@@ -176,10 +176,15 @@ def test_v_stage_and_size():
     assert v_stage(4) == power(v_stage(3))
     for x in v_stage(4):
         assert rank_in(x) < 4
+    assert v_size(6) == 1 << 65536
     with pytest.raises(BudgetError):
         v_stage(5)
     with pytest.raises(BudgetError):
         v_size(7)
+    with pytest.raises(BudgetError):
+        v_size(10 ** 9)
+    with pytest.raises(BudgetError):
+        v_stage(10 ** 9)
 
 
 def test_goedel_op_examples():

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -140,12 +141,29 @@ def test_order_type():
         order_type(FinDigraph("pqr", [("p", "q"), ("q", "r")]))
     assert exc.value.axiom == "transitivity"
     assert exc.value.witness == ("p", "q", "r")
+    # several transitivity failures; the witness is the first in repr
+    # order under every hash seed
+    with pytest.raises(NotWellOrderError) as exc:
+        order_type(FinDigraph("abcde", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("a", "c"), ("b", "d")]))
+    assert exc.value.axiom == "transitivity"
+    assert exc.value.witness == ("a", "b", "d")
     with pytest.raises(NotWellOrderError) as exc:
         order_type(FinDigraph("pq", ()))
     assert exc.value.axiom == "totality"
     with pytest.raises(NotWellOrderError) as exc:
+        order_type(FinDigraph("pq", [("p", "q"), ("q", "p")]))
+    assert (exc.value.axiom, exc.value.witness) == ("antisymmetry", ("p", "q"))
+    with pytest.raises(NotWellOrderError) as exc:
         order_type(FinDigraph("p", [("p", "p")]))
     assert exc.value.axiom == "irreflexivity"
+
+
+def test_order_type_of_a_long_linear_order():
+    n = 300
+    g = FinDigraph(range(n), [(i, j) for i in range(n) for j in range(i + 1, n)])
+    start = time.perf_counter()
+    assert order_type(g) == n
+    assert time.perf_counter() - start < 1.0
 
 
 def test_recursion_fold_examples():
