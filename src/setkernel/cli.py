@@ -226,8 +226,6 @@ def render(v):
     if isinstance(v, dict):
         body = "; ".join(f"{render(k)} -> {render(val)}" for k, val in sorted(v.items(), key=lambda kv: render(kv[0])))
         return "{" + body + "}"
-    if isinstance(v, list):
-        return "[" + ", ".join(render(x) for x in v) + "]"
     if isinstance(v, linorder.GapCut):
         return "gap"
     if isinstance(v, linorder.LeftHasMax):
@@ -294,8 +292,7 @@ def _bnf(arg):
     n = _parse_int(arg, "usage: :bnf N")
     if n < 0:
         raise EvalError(f"usage: :bnf N: {n} is negative")
-    m = linorder.back_and_forth(linorder.binstring_side(), linorder.dyadic_side(), n)
-    return {k if k else '""': v for k, v in m.items()}
+    return linorder.back_and_forth(linorder.binstring_side(), linorder.dyadic_side(), n)
 
 
 def _cutclass(kind, arg):
@@ -311,7 +308,7 @@ def _cutclass(kind, arg):
 def _collapse(path):
     g = wforder.digraph_from_edge_text(_read_text(path))
     image, is_iso = wforder.mostowski(g)
-    return {k: image[k] for k in sorted(image, key=str)} | {"extensional": is_iso}
+    return image | {"extensional": is_iso}
 
 
 def _cbs(path):

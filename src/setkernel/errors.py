@@ -9,8 +9,9 @@ class BudgetError(KernelError):
     """A computation would exceed a configured resource budget."""
 
 
-# The one int-size bound: no Ackermann code, natural power or sign
-# expansion is built past about this many bits.
+# The one int-size bound, in bits, of Ackermann codes, natural powers,
+# dyadic denominators and sign codes.  Each is refused from its size
+# before it is built; no code catches OverflowError.
 MAX_INT_BITS = 1 << 16
 
 

@@ -4,8 +4,8 @@ A Dyadic is a `numtower.Frac` whose denominator is 2**k, kept as
 num / 2**k in lowest terms (num odd whenever k > 0).  Equality, hashing,
 order and text are Frac's, so a Dyadic equals the Frac of the same
 value.  Exact rational arithmetic serves as the independent oracle:
-Frac's +, - and *, which Dyadic specialises to shifts so that sums,
-differences and products of Dyadics stay Dyadic.  `conway_add`,
+Frac's +, - and *, where Dyadic specialises + and * to shifts so that
+sums, differences and products of Dyadics stay Dyadic.  `conway_add`,
 `conway_neg`, and `conway_mul` evaluate the recursive option formulas
 instead and must agree with it.
 
@@ -31,8 +31,9 @@ A SignExpansion is a code as well, so `to_signs`, `from_signs`,
 `born_by` and `enumerate_dyadics` are closed forms over codes: the codes
 born by day n, padded as `_lt` pads them, are one run of consecutive
 ints, and the codes in int order come by birthday and then by value.
-`to_signs` refuses an expansion of more than MAX_INT_BITS signs from the
-birthday alone, before it builds the code.
+Both int-size bounds are checked before the int is built: `_code`
+refuses a code of more than MAX_INT_BITS signs from the birthday alone,
+and a Dyadic a denominator 2**k with k above MAX_INT_BITS.
 """
 
 import itertools
@@ -54,10 +55,9 @@ class Dyadic(Frac):
             shift = min(k, (num & -num).bit_length() - 1) if num else k
             num >>= shift
             k -= shift
-        try:
-            self.den = 1 << k
-        except OverflowError as e:
-            raise BudgetError(f"a denominator 2^k with a {k.bit_length()}-bit k does not fit in an int") from e
+        if k > MAX_INT_BITS:
+            raise BudgetError(f"a denominator 2^k with k above {MAX_INT_BITS}")
+        self.den = 1 << k
         self.num = num
         self.k = k
         self._code = None
@@ -67,12 +67,6 @@ class Dyadic(Frac):
             return Frac.__add__(self, other)
         k = max(self.k, other.k)
         return Dyadic((self.num << (k - self.k)) + (other.num << (k - other.k)), k)
-
-    def __sub__(self, other):
-        if not isinstance(other, Dyadic):
-            return Frac.__sub__(self, other)
-        k = max(self.k, other.k)
-        return Dyadic((self.num << (k - self.k)) - (other.num << (k - other.k)), k)
 
     def __mul__(self, other):
         if not isinstance(other, Dyadic):
@@ -159,17 +153,12 @@ def _code(x):
     c = x._code
     if c is None:
         m, k = abs(x.num), x.k
+        # the birthday, as in birthday(), is the code's length: refuse it first
+        if ((m >> k) + 1 + k if k else m) > MAX_INT_BITS:
+            raise BudgetError(f"a sign expansion of more than {MAX_INT_BITS} signs")
         # an integer m is m pluses; a + f with 0 < f < 1 is a + 1 pluses, a
         # minus, then f's binary digits after the first as signs, less the last
-        try:
-            c = (((1 << ((m >> k) + 2)) - 1) << k) | ((m >> 1) & ((1 << (k - 1)) - 1)) if k else (2 << m) - 1
-        except OverflowError as e:
-            day = birthday(x)
-            try:
-                day = f"day {day}"
-            except ValueError:  # more digits than Python will write in decimal
-                day = f"a day of {day.bit_length()} bits"
-            raise BudgetError(f"the sign code of a number born on {day} does not fit in an int") from e
+        c = (((1 << ((m >> k) + 2)) - 1) << k) | ((m >> 1) & ((1 << (k - 1)) - 1)) if k else (2 << m) - 1
         if x.num < 0:
             c ^= (1 << (c.bit_length() - 1)) - 1
         x._code = c
@@ -397,10 +386,7 @@ class SignExpansion:
 
 
 def to_signs(x):
-    """x's sign expansion, read off its code; BudgetError, before any code
-    is built, when its birthday (the expansion's length) passes MAX_INT_BITS."""
-    if birthday(x) > MAX_INT_BITS:
-        raise BudgetError(f"a sign expansion of more than {MAX_INT_BITS} signs")
+    """x's sign expansion: its code, whose length `_code` bounds."""
     s = _new(SignExpansion)
     s.code = _code(x)
     return s

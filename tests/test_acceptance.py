@@ -202,23 +202,21 @@ def test_criterion_6_tc_and_goedel_machinery():
 
 
 def _wf_edge_subsets(n):
-    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    for mask in range(1 << len(pairs)):
-        succ = [0] * n
-        m = mask
-        while m:
-            b = m & -m
-            i, j = pairs[b.bit_length() - 1]
-            succ[i] |= 1 << j
-            m ^= b
-        cl = succ[:]
+    # each unordered pair {i, j} has no edge, i -> j or j -> i: 3^(n(n-1)/2)
+    # candidates, of which the closure below keeps the acyclic ones
+    pairs = [((), ((i, j),), ((j, i),)) for i in range(n) for j in range(i + 1, n)]
+    for choice in itertools.product(*pairs):
+        edges = [e for c in choice for e in c]
+        cl = [0] * n
+        for i, j in edges:
+            cl[i] |= 1 << j
         for k in range(n):
             for v in range(n):
                 if cl[v] >> k & 1:
                     cl[v] |= cl[k]
         if any(cl[v] >> v & 1 for v in range(n)):
             continue
-        yield [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
+        yield edges
 
 
 def _brute_min_increasing(n, edges):

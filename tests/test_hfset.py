@@ -253,6 +253,8 @@ def test_goedel_hull_budget():
 def test_goedel_hull_budget_counts_the_results_of_a_step():
     # a step on n elements makes 4*n^2 + 5*n op results: 1700 for n = 20
     x = vn_nat(20)
+    # so the step's result never outgrows the budget its count passed
+    assert len(goedel_ext(x)) <= 20 * (4 * 20 + 5)
     assert goedel_hull(x, 1, max_elements=1700) is goedel_ext(x)
     with pytest.raises(BudgetError, match="hull step on 20 elements exceeds budget 1699"):
         goedel_hull(x, 1, max_elements=1699)

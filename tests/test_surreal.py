@@ -310,14 +310,15 @@ def test_conway_mul_runs_without_recursion():
 
 
 def test_huge_birthday_ends_in_budget_error():
-    # past Python's 4,300-digit limit on int-to-decimal text, the day is named by its bit length
-    for day, shown in ((10 ** 30, f"day {10 ** 30} "), (10 ** 5000, "a day of 16610 bits ")):
+    # refused from the birthday before a code is built, so each call is quick
+    for day in (2 ** 16 + 1, 10 ** 9, 2 ** 40, 10 ** 30, 10 ** 5000):
         huge = D(day)
         for call in (lambda: conway_add(huge, D(1)), lambda: conway_neg(huge), lambda: conway_mul(D(1), -huge)):
-            with pytest.raises(BudgetError, match=shown) as info:
+            start = time.perf_counter()
+            with pytest.raises(BudgetError) as info:
                 call()
+            assert time.perf_counter() - start < 0.1
             assert isinstance(info.value, KernelError)
-            assert isinstance(info.value.__cause__, OverflowError)
 
 
 def test_dyadic_normalises_in_one_shift():
@@ -335,10 +336,11 @@ def test_dyadic_normalises_in_one_shift():
 
 
 def test_huge_denominator_ends_in_budget_error():
-    for k in (10 ** 30, 10 ** 5000):
-        with pytest.raises(BudgetError, match="does not fit in an int") as info:
+    for k in (2 ** 16 + 1, 10 ** 9, 2 ** 40, 10 ** 30, 10 ** 5000):
+        start = time.perf_counter()
+        with pytest.raises(BudgetError):
             D(1, k)
-        assert isinstance(info.value.__cause__, OverflowError)
+        assert time.perf_counter() - start < 0.1
 
 
 def test_mul_grid_fills_the_same_memo_tables():
