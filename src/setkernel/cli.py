@@ -126,11 +126,10 @@ class Session:
             raise EvalError(f"cannot evaluate {node!r}")
         return handler(self, node)
 
-    def _eval_bin(self, node):
-        spine, leaf = node.spine()
-        value = self.eval_node(leaf)
-        for b in reversed(spine):
-            value = _apply_bin(b.op, value, self.eval_node(b.right))
+    def _eval_chain(self, node):
+        value = self.eval_node(node.first)
+        for op, right in node.rest:
+            value = _apply_bin(op, value, self.eval_node(right))
         return value
 
     def _eval_var(self, node):
@@ -195,7 +194,7 @@ _EVAL = {
     syntax.Nat: lambda self, node: node.value,
     syntax.Rat: lambda self, node: Frac(node.num, node.den),
     syntax.WSym: lambda self, node: ordinal.OMEGA,
-    syntax.Bin: Session._eval_bin,
+    syntax.Chain: Session._eval_chain,
     syntax.SetLit: Session._eval_setlit,
     syntax.Var: Session._eval_var,
     syntax.Call: Session._eval_call,

@@ -241,14 +241,6 @@ def union(x):
     return HFSet(e for s in x for e in s._elems)
 
 
-def inter(x, y):
-    return x & y
-
-
-def diff(x, y):
-    return x - y
-
-
 def power(x, max_elements=None):
     """Power set of x, guarded by the element budget."""
     budget = DEFAULT_MAX_ELEMENTS if max_elements is None else max_elements

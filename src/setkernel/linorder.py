@@ -85,6 +85,13 @@ def simplest_dyadic_labels(iterations):
     return order, labels
 
 
+def _string_code(s):
+    """The sign code int("1" + s, 2) of a string of 0s and 1s."""
+    if not isinstance(s, str) or s.strip("01"):
+        raise PreconditionError(f"binary strings use 0 and 1, got {s!r}")
+    return int("1" + s, 2)
+
+
 def _key(s):
     """A str in the universal order: 1 marks the end, 0 sorts below it, 2 above."""
     return s.replace("1", "2") + "1"
@@ -96,7 +103,7 @@ def u_cmp(f, g):
     f < g when f extends g with a 0 at position |g|, or g extends f with
     a 1 at position |f|, or the first disagreement has f at 0 and g at 1.
     """
-    a, b = int("1" + f, 2), int("1" + g, 2)
+    a, b = _string_code(f), _string_code(g)
     return -1 if surreal._lt(a, b) else 1 if surreal._lt(b, a) else 0
 
 
@@ -106,12 +113,11 @@ def insert_between(a, b):
 
     Minimality makes the witness unique, so no tie-breaking is needed.
     """
-    f = max(a, key=_key, default=None)
-    g = min(b, key=_key, default=None)
-    lo = 0 if f is None else int("1" + f, 2)
-    hi = 0 if g is None else int("1" + g, 2)
+    # a code's Dyadic has the code's place in the order; 0 is no bound
+    lo = max(map(_string_code, a), key=surreal._from_code, default=0)
+    hi = min(map(_string_code, b), key=surreal._from_code, default=0)
     if lo and hi and not surreal._lt(lo, hi):
-        raise PreconditionError(f"need a < b elementwise, got {f!r} >= {g!r}")
+        raise PreconditionError(f"need a < b elementwise, got {bin(lo)[3:]!r} >= {bin(hi)[3:]!r}")
     return bin(surreal._simplest(lo, hi))[3:]
 
 

@@ -152,12 +152,12 @@ def _code(x):
     """The sign code of a Dyadic, from (num, k) in closed form on first use."""
     c = x._code
     if c is None:
-        m, k = abs(x.num), x.k
-        # the birthday, as in birthday(), is the code's length: refuse it first
-        if ((m >> k) + 1 + k if k else m) > MAX_INT_BITS:
+        # the birthday is the code's length: refuse it first
+        if birthday(x) > MAX_INT_BITS:
             raise BudgetError(f"a sign expansion of more than {MAX_INT_BITS} signs")
         # an integer m is m pluses; a + f with 0 < f < 1 is a + 1 pluses, a
         # minus, then f's binary digits after the first as signs, less the last
+        m, k = abs(x.num), x.k
         c = (((1 << ((m >> k) + 2)) - 1) << k) | ((m >> 1) & ((1 << (k - 1)) - 1)) if k else (2 << m) - 1
         if x.num < 0:
             c ^= (1 << (c.bit_length() - 1)) - 1

@@ -14,8 +14,10 @@ alone it is a variable.  'w' is reserved for the first infinite
 ordinal.  The natural-sum operator may be written '(+)' or the single
 character U+2295.  A NAT is a run of decimal digits of any script; an
 identifier starts with a letter or '_'.  Brackets, command arguments
-and '^' chains may nest at most MAX_NESTING deep.  AST nodes are slots
-dataclasses, equal and hashed by value; nothing assigns to a built node.
+and '^' chains may nest at most MAX_NESTING deep.  An operator chain is
+one flat Chain node folded from the left, however long it is.  AST
+nodes are slots dataclasses, equal and hashed by value; nothing assigns
+to a built node.
 """
 
 import re
@@ -45,37 +47,10 @@ class SetLit:
     items: tuple
 
 
-@dataclass(slots=True)
-class Bin:
-    op: str
-    left: object
-    right: object
-
-    # '1 + 1 + ...' nests as deep as it is long, so equality, hashing and
-    # repr walk the left spine in a loop where the generated ones recurse
-    def spine(self):
-        """The Bin nodes down the left spine, outermost first, and the node below them."""
-        nodes = []
-        node = self
-        while isinstance(node, Bin):
-            nodes.append(node)
-            node = node.left
-        return nodes, node
-
-    def __eq__(self, other):
-        if other.__class__ is not Bin:
-            return NotImplemented
-        (xs, x), (ys, y) = self.spine(), other.spine()
-        return len(xs) == len(ys) and x == y and all(a.op == b.op and a.right == b.right for a, b in zip(xs, ys))
-
-    def __hash__(self):
-        nodes, leaf = self.spine()
-        return hash((leaf, tuple((b.op, b.right) for b in nodes)))
-
-    def __repr__(self):
-        nodes, leaf = self.spine()
-        head = "".join(f"Bin(op={b.op!r}, left=" for b in nodes)
-        return head + repr(leaf) + "".join(f", right={b.right!r})" for b in reversed(nodes))
+@dataclass(slots=True, unsafe_hash=True)
+class Chain:
+    first: object  # never a Chain
+    rest: tuple  # (op, right operand) pairs, folded from the left
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -176,17 +151,21 @@ class _Parser:
     def expr(self, min_prec=1):
         """Precedence climbing: operators binding at least min_prec."""
         node = self.atom()
+        rest = []
         while True:
             t = self.tokens[self.pos]
             prec, right_prec = _BINARY.get(t[1], (0, 0))
             if prec < min_prec:
-                return node
+                break
             self.pos += 1
             depth = self.depth
             if prec == right_prec:  # a right-associative chain nests
                 self.nest(t[2])
-            node = Bin(t[1], node, self.expr(right_prec))
+            rest.append((t[1], self.expr(right_prec)))
             self.depth = depth
+        if rest and isinstance(node, Chain):  # '(a + b) + c' is 'a + b + c'
+            node, rest = node.first, [*node.rest, *rest]
+        return Chain(node, tuple(rest)) if rest else node
 
     def _numeric(self, negate):
         t = self.tokens[self.pos]

@@ -8,6 +8,7 @@ vacuous and such a graph still counts as well-founded.
 """
 
 import json
+from collections.abc import Hashable
 
 from . import hfset
 from .errors import NotWellFoundedError, NotWellOrderError, PreconditionError
@@ -60,13 +61,22 @@ def digraph_from_edge_text(text):
 
 
 def digraph_from_json(obj):
-    """Adjacency mapping {node: [successor, ...]}."""
+    """Adjacency mapping {node: [successor, ...]}, or its JSON text."""
     if isinstance(obj, str):
-        obj = json.loads(obj)
+        try:
+            obj = json.loads(obj)
+        except (ValueError, RecursionError) as exc:  # malformed, or nested too deep
+            raise PreconditionError(f"not JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise PreconditionError(f"an adjacency mapping is a dict, got {type(obj).__name__}")
     nodes = set(obj)
     edges = set()
     for x, succs in obj.items():
+        if not isinstance(succs, list):
+            raise PreconditionError(f"the successors of {x!r} are not a list")
         for y in succs:
+            if not isinstance(y, Hashable):
+                raise PreconditionError(f"a successor of {x!r} is a {type(y).__name__}, not a node")
             nodes.add(y)
             edges.add((x, y))
     return FinDigraph(nodes, edges)

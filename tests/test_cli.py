@@ -13,7 +13,7 @@ from setkernel.cli import Session, render, run_batch
 from setkernel.errors import EvalError, ParseError, SortMismatchError
 from setkernel.numtower import Frac
 from setkernel.surreal import Dyadic
-from setkernel.syntax import MAX_NESTING, Bin, Call, Nat, Rat, SetLit, Var, WSym, parse
+from setkernel.syntax import MAX_NESTING, Call, Chain, Nat, Rat, SetLit, Var, WSym, parse
 
 from helpers import rand_hfset, rand_ordinal
 
@@ -24,34 +24,31 @@ def ev(text):
 
 def test_parse_shapes():
     ast = parse("w^2*3 + w*5 + 1")
-    assert isinstance(ast, Bin) and ast.op == "+"
-    assert ast.right == Nat(1)
-    assert isinstance(ast.left, Bin) and ast.left.op == "+"
-    term = ast.left.left  # w^2*3
-    assert isinstance(term, Bin) and term.op == "*"
-    assert term.left == Bin("^", WSym(), Nat(2))
+    # ((w^2)*3 + w*5) + 1: the leading term w^2*3 is the chain's prefix
+    w5 = Chain(WSym(), (("*", Nat(5)),))
+    assert ast == Chain(WSym(), (("^", Nat(2)), ("*", Nat(3)), ("+", w5), ("+", Nat(1))))
 
     call = parse("simp {0} {1}")
     assert call == Call("simp", (SetLit((Nat(0),)), SetLit((Nat(1),))))
 
     nested = parse("w^(w^w)")
-    assert nested == Bin("^", WSym(), Bin("^", WSym(), WSym()))
+    assert nested == Chain(WSym(), (("^", Chain(WSym(), (("^", WSym()),))),))
     right_assoc = parse("w^w^w")
     assert right_assoc == nested
 
 
 def test_natural_sum_operator():
-    both = Bin("(+)", Bin("(+)", WSym(), Bin("*", Nat(1), Nat(2))), Nat(3))
+    both = Chain(WSym(), (("(+)", Chain(Nat(1), (("*", Nat(2)),))), ("(+)", Nat(3))))
     assert parse("w (+) 1*2 ⊕ 3") == both
     assert parse("w⊕1*2(+)3") == both
-    assert parse("w + 1 (+) w") == Bin("(+)", Bin("+", WSym(), Nat(1)), WSym())
+    assert parse("w + 1 (+) w") == Chain(WSym(), (("+", Nat(1)), ("(+)", WSym())))
     assert render(ev("(w+1) (+) w")) == "w*2+1"
 
 
 def test_tokens_are_decimal_digits_and_letters(tmp_path):
     # \d is exactly what int() reads, in any script
-    assert parse("٣ + 1") == Bin("+", Nat(3), Nat(1))
-    assert parse("x² + 1") == Bin("+", Var("x²"), Nat(1))
+    assert parse("٣ + 1") == Chain(Nat(3), (("+", Nat(1)),))
+    assert parse("x² + 1") == Chain(Var("x²"), (("+", Nat(1)),))
     bad = (("²", 0), ("1 + ²", 4), ("{²}", 1), ("½", 0), ("12²", 2))
     for line, column in bad:
         with pytest.raises(ParseError) as exc:
@@ -168,25 +165,38 @@ def test_nesting_limit(kind):
 
 
 def test_long_sums_fold_without_recursion():
-    line = " + ".join(["1"] * 5000)
-    assert ev(line) == 5000
-    assert render(ev("w*0 + " + line)) == "5000"
-    assert repr(parse(line)).count("Bin(") == 4999
-    assert hash(parse(line)) == hash(parse(line))
-    assert parse(line) == parse(line)
+    assert sys.getrecursionlimit() == 1000
+    lines = {
+        # line: (value, Chain nodes in its AST, Nat leaves)
+        " + ".join(["1"] * 5000): (5000, 1, 5000),
+        " * ".join(["1"] * 5000): (1, 1, 5000),
+        " (+) ".join(["1"] * 5000): (5000, 1, 5000),
+        " + ".join(["1*1"] * 3000): (3000, 3000, 6000),  # each term is a chain too
+    }
+    for line, (value, chains, nats) in lines.items():
+        assert render(ev(line)) == str(value)
+        assert render(ev("w*0 + " + line)) == str(value)
+        text = repr(parse(line))
+        assert text.count("Chain(") == chains and text.count("Nat(") == nats
+        assert hash(parse(line)) == hash(parse(line))
+        assert parse(line) == parse(line)
+        assert parse(line) != parse(line + " + 1")
 
 
-def test_bin_methods_match_the_dataclass_forms():
+def test_chain_is_equal_and_hashed_by_value():
     ast = parse("1 + 2*3^4 + (w (+) {5})")
     assert repr(ast) == (
-        "Bin(op='+', left=Bin(op='+', left=Nat(value=1), right=Bin(op='*', left=Nat(value=2), "
-        "right=Bin(op='^', left=Nat(value=3), right=Nat(value=4)))), "
-        "right=Bin(op='(+)', left=WSym(), right=SetLit(items=(Nat(value=5),))))"
+        "Chain(first=Nat(value=1), rest=(('+', Chain(first=Nat(value=2), rest=(('*', "
+        "Chain(first=Nat(value=3), rest=(('^', Nat(value=4)),))),))), "
+        "('+', Chain(first=WSym(), rest=(('(+)', SetLit(items=(Nat(value=5),))),)))))"
     )
     assert ast == parse("(1 + 2*(3^4)) + (w (+) {5})") and hash(ast) == hash(parse("1+2*3^4+(w(+){5})"))
     for other in ("1 + (2*3^4 + (w (+) {5}))", "1 + 2*3^4 + (w + {5})", "2 + 2*3^4 + (w (+) {5})", "1 + 2*3^4"):
         assert ast != parse(other)
     assert parse("1 + 1") != Nat(2)
+    # a bracketed prefix joins the chain, but only a '^' right operand nests
+    assert parse("(2^3)^4") == Chain(Nat(2), (("^", Nat(3)), ("^", Nat(4))))
+    assert parse("(2^3)^4") != parse("2^3^4")
 
 
 def test_parse_errors_carry_position():

@@ -87,6 +87,21 @@ def test_u_cmp_examples():
     assert u_cmp("00", "01") < 0
 
 
+def test_non_binary_strings_are_refused():
+    # int("1" + s, 2) alone would read "_0" as "0" and "0 " as "0"
+    for s in ("_0", "0_1", "0 ", "2"):
+        calls = (
+            lambda: u_cmp(s, "0"),
+            lambda: u_cmp("01", s),
+            lambda: insert_between([s], []),
+            lambda: insert_between(["1", s], ["11"]),
+            lambda: insert_between([], [s]),
+        )
+        for call in calls:
+            with pytest.raises(PreconditionError, match="binary strings use 0 and 1"):
+                call()
+
+
 def test_u_cmp_total_order_fuzz():
     rng = random.Random(109)
     def rand_str():

@@ -292,3 +292,13 @@ def test_digraph_parsing():
     assert g2.edges == {("a", "b")}
     with pytest.raises(PreconditionError):
         FinDigraph("a", [("a", "b")])
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["{", "[1]", '{"a": 3}', '{"a": "b"}', '{"a": [["b"]]}', "[" * 100000],
+    ids=["malformed", "not-a-mapping", "successors-not-a-list", "successors-a-string", "unhashable-successor", "deep"],
+)
+def test_digraph_from_json_refuses_bad_payloads(text):
+    with pytest.raises(PreconditionError):
+        digraph_from_json(text)
