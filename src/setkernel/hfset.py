@@ -37,7 +37,7 @@ from itertools import chain
 
 from .errors import MAX_INT_BITS, BudgetError, ParseError, PreconditionError
 
-DEFAULT_MAX_ELEMENTS = 10 ** 6
+MAX_ELEMENTS = 10 ** 6
 
 
 def _cmp(a, b):
@@ -241,12 +241,11 @@ def union(x):
     return HFSet(e for s in x for e in s._elems)
 
 
-def power(x, max_elements=None):
-    """Power set of x, guarded by the element budget."""
-    budget = DEFAULT_MAX_ELEMENTS if max_elements is None else max_elements
+def power(x):
+    """Power set of x, guarded by the element budget MAX_ELEMENTS."""
     n = len(x)
-    if 1 << n > budget:
-        raise BudgetError(f"power set would have 2^{n} elements (budget {budget})")
+    if 1 << n > MAX_ELEMENTS:
+        raise BudgetError(f"power set would have 2^{n} elements (budget {MAX_ELEMENTS})")
     # subsets[mask] holds the elements at the set bits of mask, ascending;
     # with ascending elements a subset's code grows with its mask
     subsets = [()]
@@ -363,61 +362,33 @@ def goedel_ext(x):
     return HFSet(chain(unary, binary))
 
 
-def goedel_hull(x, n, max_elements=None):
-    """n-fold iterate of the extension step, guarded by the element budget."""
-    budget = DEFAULT_MAX_ELEMENTS if max_elements is None else max_elements
+def goedel_hull(x, n):
+    """n-fold iterate of the extension step, guarded by the element budget MAX_ELEMENTS."""
     cur = x
     for _ in range(n):
-        if len(cur) * (4 * len(cur) + 5) > budget:  # the op results goedel_ext makes
-            raise BudgetError(f"hull step on {len(cur)} elements exceeds budget {budget}")
+        if len(cur) * (4 * len(cur) + 5) > MAX_ELEMENTS:  # the op results goedel_ext makes
+            raise BudgetError(f"hull step on {len(cur)} elements exceeds budget {MAX_ELEMENTS}")
         cur = goedel_ext(cur)
     return cur
 
 
-class GoedelTree:
-    """A full binary tree of the given height, every vertex labeled 0..8.
+def goedel_tree_eval(labels, xs):
+    """Evaluate the operation composition coded by a labeled full binary tree.
 
-    Vertices are addressed by bit strings of length < height; the empty
-    string is the root.  The label domain must be exactly the full tree.
+    `labels` holds the vertices' operations (0..8) breadth-first: the root,
+    then each level left to right, so level d is labels[2**d - 1 : 2**(d+1) - 1].
+    `xs` holds the 2**h leaves left to right, and the tree has 2**h - 1 labels.
     """
-
-    __slots__ = ("height", "labels")
-
-    def __init__(self, height, labels):
-        if height < 0:
-            raise PreconditionError("height must be nonnegative")
-        labels = dict(labels)
-        expected = set()
-        for level in range(height):
-            for i in range(1 << level):
-                expected.add(format(i, f"0{level}b") if level else "")
-        if set(labels) != expected:
-            raise PreconditionError("labels must cover exactly the vertices of the full tree")
-        for v, lab in labels.items():
-            if not 0 <= lab <= 8:
-                raise PreconditionError(f"label {lab!r} at {v!r} not in 0..8")
-        self.height = height
-        self.labels = labels
-
-
-def goedel_tree_eval(tree, xs):
-    """Evaluate the operation composition coded by `tree` on a leaf tuple.
-
-    Leaves are indexed by bit strings of length `tree.height` in
-    lexicographic order, so the first half of `xs` feeds the 0-subtree.
-    """
-    xs = tuple(xs)
-    if len(xs) != 1 << tree.height:
-        raise PreconditionError(
-            f"need {1 << tree.height} leaf values for height {tree.height}, got {len(xs)}"
-        )
-    # fold from the leaves up: vertex i of a level joins values 2i and 2i+1
-    # of the level below
-    for depth in reversed(range(tree.height)):
-        xs = tuple(
-            goedel_op(tree.labels[format(i, f"0{depth}b") if depth else ""], xs[2 * i], xs[2 * i + 1])
-            for i in range(1 << depth)
-        )
+    labels, xs = tuple(labels), tuple(xs)
+    if not xs or len(xs) & (len(xs) - 1):
+        raise PreconditionError(f"the number of leaves must be a power of two, got {len(xs)}")
+    if len(labels) != len(xs) - 1:
+        raise PreconditionError(f"{len(xs)} leaves need {len(xs) - 1} labels, got {len(labels)}")
+    # fold from the leaves up: above 2**k values lies the level with labels
+    # [2**(k-1) - 1 : 2**k - 1], and its vertex i joins values 2i and 2i+1
+    while len(xs) > 1:
+        level = labels[len(xs) // 2 - 1 : len(xs) - 1]
+        xs = tuple(goedel_op(lab, xs[2 * i], xs[2 * i + 1]) for i, lab in enumerate(level))
     return xs[0]
 
 

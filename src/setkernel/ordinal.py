@@ -31,12 +31,6 @@ class Kind(enum.Enum):
     LIMIT = "limit"
 
 
-class Cofinality(enum.Enum):
-    ZERO = "zero"
-    ONE = "one"
-    OMEGA = "omega"
-
-
 def _operator(fn):
     """A binary dunder: an int operand is coerced, any other non-ordinal is NotImplemented."""
 
@@ -327,4 +321,5 @@ def is_indecomposable(a):
 
 
 def cofinality_class(a):
-    return {Kind.ZERO: Cofinality.ZERO, Kind.SUCCESSOR: Cofinality.ONE, Kind.LIMIT: Cofinality.OMEGA}[kind(a)]
+    """The cofinality of a: 0 for zero, 1 for a successor, w for a limit."""
+    return {Kind.ZERO: ZERO, Kind.SUCCESSOR: ONE, Kind.LIMIT: OMEGA}[kind(a)]

@@ -357,6 +357,8 @@ class SignExpansion:
         if isinstance(bits, SignExpansion):
             self.code = bits.code
             return
+        if not isinstance(bits, str):
+            raise PreconditionError(f"sign expansion must be a str over +/- or 0/1, got {type(bits).__name__}")
         bits = bits.replace("+", "1").replace("-", "0")
         if any(c not in "01" for c in bits):
             raise PreconditionError(f"sign expansion must be over +/- or 0/1, got {bits!r}")

@@ -69,7 +69,6 @@ def digraph_from_json(obj):
             raise PreconditionError(f"not JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise PreconditionError(f"an adjacency mapping is a dict, got {type(obj).__name__}")
-    nodes = set(obj)
     edges = set()
     for x, succs in obj.items():
         if not isinstance(succs, list):
@@ -77,9 +76,9 @@ def digraph_from_json(obj):
         for y in succs:
             if not isinstance(y, Hashable):
                 raise PreconditionError(f"a successor of {x!r} is a {type(y).__name__}, not a node")
-            nodes.add(y)
             edges.add((x, y))
-    return FinDigraph(nodes, edges)
+    # FinDigraph refuses a successor that is not a key: its edge leaves the node set
+    return FinDigraph(obj, edges)
 
 
 def _peel_order(g):

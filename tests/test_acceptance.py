@@ -14,7 +14,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from setkernel import cli, hfset, linorder, numtower, ordinal, surreal, wforder
-from setkernel.hfset import GoedelTree, HFSet
+from setkernel.hfset import HFSet
 from setkernel.ordinal import CnfOrdinal, OMEGA, ONE, ZERO
 from setkernel.surreal import Dyadic
 
@@ -191,12 +191,11 @@ def test_criterion_6_tc_and_goedel_machinery():
             elems = list(x.elements)
             for n in (1, 2):
                 width = 1 << n
-                vertices = [format(i, f"0{l}b") if l else "" for l in range(n) for i in range(1 << l)]
                 results = []
-                for labs in itertools.product(range(9), repeat=len(vertices)):
-                    tree = GoedelTree(n, dict(zip(vertices, labs)))
+                # one label per vertex, breadth-first: 9 labellings at height 1, 729 at 2
+                for labs in itertools.product(range(9), repeat=width - 1):
                     for tup in itertools.product(elems, repeat=width):
-                        results.append(hfset.goedel_tree_eval(tree, tup))
+                        results.append(hfset.goedel_tree_eval(labs, tup))
                 lhs = hfset.goedel_hull(x, n)
                 assert HFSet(results) == lhs
 

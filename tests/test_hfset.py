@@ -12,7 +12,6 @@ import pytest
 from setkernel import hfset, numtower, wforder
 from setkernel.errors import MAX_INT_BITS, BudgetError, ParseError, PreconditionError
 from setkernel.hfset import (
-    GoedelTree,
     HFSet,
     ackermann_decode,
     ackermann_encode,
@@ -105,14 +104,16 @@ def test_power_matches_oracle_random():
         assert power(x) == power_oracle(x)
 
 
-def test_power_budget():
+def test_power_budget(monkeypatch):
     big = HFSet(vn_nat(i) for i in range(25))
     with pytest.raises(BudgetError):
         power(big)
     small = HFSet(vn_nat(i) for i in range(3))
+    monkeypatch.setattr(hfset, "MAX_ELEMENTS", 7)
     with pytest.raises(BudgetError):
-        power(small, max_elements=7)
-    assert len(power(small, max_elements=8)) == 8
+        power(small)
+    monkeypatch.setattr(hfset, "MAX_ELEMENTS", 8)
+    assert len(power(small)) == 8
 
 
 def test_tc_examples():
@@ -242,34 +243,35 @@ def test_goedel_hull_monotone():
     assert goedel_ext(h1) == h2
 
 
-def test_goedel_hull_budget():
+def test_goedel_hull_budget(monkeypatch):
     x = v_stage(3)
+    monkeypatch.setattr(hfset, "MAX_ELEMENTS", 500)
     with pytest.raises(BudgetError):
-        goedel_hull(x, 4, max_elements=500)
+        goedel_hull(x, 4)
 
 
-def test_goedel_hull_budget_counts_the_results_of_a_step():
+def test_goedel_hull_budget_counts_the_results_of_a_step(monkeypatch):
     # a step on n elements makes 4*n^2 + 5*n op results: 1700 for n = 20
     x = vn_nat(20)
     # so the step's result never outgrows the budget its count passed
     assert len(goedel_ext(x)) <= 20 * (4 * 20 + 5)
-    assert goedel_hull(x, 1, max_elements=1700) is goedel_ext(x)
+    monkeypatch.setattr(hfset, "MAX_ELEMENTS", 1700)
+    assert goedel_hull(x, 1) is goedel_ext(x)
+    monkeypatch.setattr(hfset, "MAX_ELEMENTS", 1699)
     with pytest.raises(BudgetError, match="hull step on 20 elements exceeds budget 1699"):
-        goedel_hull(x, 1, max_elements=1699)
+        goedel_hull(x, 1)
 
 
 def test_goedel_tree_eval_clauses():
     a, b = ONE, TWO
-    t0 = GoedelTree(0, {})
-    assert goedel_tree_eval(t0, (a,)) == a
-    t1 = GoedelTree(1, {"": 2})
-    assert goedel_tree_eval(t1, (a, b)) == pair(a, b)
-    t2 = GoedelTree(2, {"": 2, "0": 0, "1": 7})
-    assert goedel_tree_eval(t2, (a, b, singleton(b), E)) == pair(a, union(singleton(b)))
+    assert goedel_tree_eval((), (a,)) == a
+    assert goedel_tree_eval((2,), (a, b)) == pair(a, b)
+    # breadth-first: the root, then its left and right children
+    assert goedel_tree_eval((2, 0, 7), (a, b, singleton(b), E)) == pair(a, union(singleton(b)))
     with pytest.raises(PreconditionError):
-        goedel_tree_eval(t1, (a,))
+        goedel_tree_eval((2,), (a,))
     with pytest.raises(PreconditionError):
-        GoedelTree(2, {"": 2})
+        goedel_tree_eval((2,), (a, b, E, E))
 
 
 def test_tree_coding_matches_extension_at_height_1():
@@ -277,10 +279,9 @@ def test_tree_coding_matches_extension_at_height_1():
     for x in (singleton(E), HFSet([E, ONE]), HFSet([ONE, TWO])):
         results = []
         for lab in range(9):
-            t = GoedelTree(1, {"": lab})
             for u in x:
                 for v in x:
-                    results.append(goedel_tree_eval(t, (u, v)))
+                    results.append(goedel_tree_eval((lab,), (u, v)))
         assert HFSet(results) == goedel_ext(x)
 
 

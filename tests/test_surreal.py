@@ -150,6 +150,14 @@ def test_group_laws_random():
             assert conway_add(x, z) < conway_add(y, z)
 
 
+@pytest.mark.parametrize("bad", ["+x", "2", 5, None])
+def test_sign_expansion_refuses_bad_input(bad):
+    with pytest.raises(PreconditionError):
+        SignExpansion(bad)
+    with pytest.raises(PreconditionError):
+        from_signs(bad)
+
+
 def test_sign_expansion_roundtrip_and_length():
     assert to_signs(D(0)) == SignExpansion("")
     assert to_signs(HALF) == SignExpansion("+-")

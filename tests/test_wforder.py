@@ -296,8 +296,16 @@ def test_digraph_parsing():
 
 @pytest.mark.parametrize(
     "text",
-    ["{", "[1]", '{"a": 3}', '{"a": "b"}', '{"a": [["b"]]}', "[" * 100000],
-    ids=["malformed", "not-a-mapping", "successors-not-a-list", "successors-a-string", "unhashable-successor", "deep"],
+    ["{", "[1]", '{"a": 3}', '{"a": "b"}', '{"a": [["b"]]}', "[" * 100000, '{"1": [2], "2": []}'],
+    ids=[
+        "malformed",
+        "not-a-mapping",
+        "successors-not-a-list",
+        "successors-a-string",
+        "unhashable-successor",
+        "deep",
+        "successor-not-a-key",
+    ],
 )
 def test_digraph_from_json_refuses_bad_payloads(text):
     with pytest.raises(PreconditionError):
