@@ -78,9 +78,13 @@ class HFSet:
         # references, and the cycle collector runs it after, so the entry
         # then reads self or None.  A live other node was built after this
         # one's reference was cleared and keeps its entry.
-        ref = _intern.get(self._elems)
+        try:
+            elems = self._elems
+        except AttributeError:  # interrupted between object.__new__ and the assignment in _node
+            return
+        ref = _intern.get(elems)
         if ref is not None and ref() in (self, None):
-            del _intern[self._elems]
+            del _intern[elems]
 
     def __reduce__(self):
         # without this, pickle and copy would fill in the interned empty set
@@ -349,8 +353,8 @@ _GOEDEL_OPS = (_g0, _g1, pair, _g3, _g4, _g5, _g6, _g7, _g8)
 
 def goedel_op(i, x, y):
     """Apply basic operation i (0..8) to the pair (x, y)."""
-    if not 0 <= i <= 8:
-        raise PreconditionError(f"operation index {i} not in 0..8")
+    if not isinstance(i, int) or not 0 <= i <= 8:
+        raise PreconditionError(f"operation index {i!r} not an int in 0..8")
     return _GOEDEL_OPS[i](x, y)
 
 
@@ -368,7 +372,10 @@ def goedel_hull(x, n):
     for _ in range(n):
         if len(cur) * (4 * len(cur) + 5) > MAX_ELEMENTS:  # the op results goedel_ext makes
             raise BudgetError(f"hull step on {len(cur)} elements exceeds budget {MAX_ELEMENTS}")
-        cur = goedel_ext(cur)
+        nxt = goedel_ext(cur)
+        if nxt is cur:  # a fixed point: every later step returns it too
+            break
+        cur = nxt
     return cur
 
 

@@ -262,6 +262,8 @@ def ord_divmod(b, a):
 
 def nat_pow(k, n):
     """k ** n for naturals; BudgetError past about MAX_INT_BITS bits (never for 0^n or 1^n)."""
+    if k < 0 or n < 0:
+        raise PreconditionError(f"nat_pow needs naturals, got {k}^{n}")
     if n * (k.bit_length() - 1) > MAX_INT_BITS:
         raise BudgetError(f"an integer power of more than {MAX_INT_BITS} bits")
     return k ** n

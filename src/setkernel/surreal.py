@@ -26,6 +26,8 @@ when one is a prefix of the other.  A Dyadic computes its code from
 (num, k) on first use and keeps it; a result is built straight from its
 code.  The public `simplest`, `options` and `birthday` work in closed
 form on (num, k), so `birthday(Dyadic(2**100))` builds no code.
+`_mul_core` sums each option value as (xo*y - xo*yo) + x*yo, the order
+of its two Conway adds that leaves the fewest entries in the add table.
 
 A SignExpansion is a code as well, so `to_signs`, `from_signs`,
 `born_by` and `enumerate_dyadics` are closed forms over codes: the codes
@@ -311,16 +313,17 @@ def _mul_core(a, b):
         xl, xr = _options(x)
         yl, yr = _options(y)
         # x^L y^L and x^R y^R give left options, x^L y^R and x^R y^L right
-        # ones, each as xo*y + x*yo - xo*yo from the three products below
+        # ones, each as (xo*y - xo*yo) + x*yo from the three products below.
+        # The key is (min, max), so x is the shorter code: xo*y - xo*yo is the cheap pair.
         parts = [
-            [(p, q) if p <= q else (q, p) for p, q in ((xo, y), (x, yo), (xo, yo))] if xo and yo else ()
+            [(p, q) if p <= q else (q, p) for p, q in ((xo, y), (xo, yo), (x, yo))] if xo and yo else ()
             for xo, yo in ((xl, yl), (xr, yr), (xl, yr), (xr, yl))
         ]
         missing = [k for t in parts for k in t if k not in cache]
         if missing:
             stack.extend(missing)
             continue
-        v = [_add_core(_add_core(cache[t[0]], cache[t[1]]), _neg_core(cache[t[2]])) if t else 0 for t in parts]
+        v = [_add_core(_add_core(cache[t[0]], _neg_core(cache[t[1]])), cache[t[2]]) if t else 0 for t in parts]
         lo = v[1] if v[0] and v[1] and _lt(v[0], v[1]) else v[0] or v[1]
         hi = v[3] if v[2] and v[3] and _lt(v[3], v[2]) else v[2] or v[3]
         cache[key] = _simplest(lo, hi)

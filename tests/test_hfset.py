@@ -5,6 +5,7 @@ import pickle
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -195,6 +196,14 @@ def test_goedel_op_examples():
     assert goedel_op(7, singleton(TWO), E) == TWO
 
 
+@pytest.mark.parametrize("label", ["a", None, 1.5])
+def test_goedel_op_refuses_a_label_that_is_not_an_int(label):
+    with pytest.raises(PreconditionError):
+        goedel_op(label, E, E)
+    with pytest.raises(PreconditionError):
+        goedel_tree_eval((label,), (E, E))
+
+
 def test_goedel_range_via_dom_of_inverse():
     # rng[x] = dom[x^-1], the standard derived operation
     rng = random.Random(3)
@@ -241,6 +250,13 @@ def test_goedel_hull_monotone():
     assert x.issubset(h1)
     assert h1.issubset(h2)
     assert goedel_ext(h1) == h2
+
+
+def test_goedel_hull_stops_at_a_fixed_point():
+    for n in (10 ** 6, 10 ** 40):
+        start = time.perf_counter()
+        assert goedel_hull(E, n) is E
+        assert time.perf_counter() - start < 0.1
 
 
 def test_goedel_hull_budget(monkeypatch):
@@ -528,6 +544,16 @@ def test_dying_node_keeps_a_newer_entry():
     del stale
     assert hfset._INTERN[x._elems]() is x
     assert HFSet(x._elems) is x
+
+
+def test_deleting_a_bare_node_is_silent(monkeypatch):
+    # an interrupt between object.__new__ and the assignment in _node leaves
+    # a node with no _elems; its __del__ must not report an error
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    node = object.__new__(HFSet)
+    del node
+    assert unraisable == []
 
 
 def test_pickle_and_copy_return_the_same_node():

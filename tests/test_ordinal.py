@@ -342,6 +342,12 @@ def test_nat_pow_caps_bits():
         opow(fin(3), add(W, fin(100000000)))
 
 
+@pytest.mark.parametrize("k, n", [(0, -1), (2, -1), (-2, 3)])
+def test_nat_pow_refuses_negatives(k, n):
+    with pytest.raises(PreconditionError):
+        ordinal.nat_pow(k, n)
+
+
 def _depth_oracle(x):
     """Exponent nesting from the definition: 1 + the deepest exponent."""
     return 1 + max((_depth_oracle(e) for e, _ in x._terms), default=0)

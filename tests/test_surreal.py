@@ -359,5 +359,11 @@ def test_mul_grid_fills_the_same_memo_tables():
     for x in pool:
         for y in pool:
             assert conway_mul(x, y) == x * y
-    assert cache_sizes() == (11928, 2016, 167)
+    assert cache_sizes() == (8509, 2016, 167)
+    # one deep product, born on days 10 and 12: the add count pins the
+    # order in which each option's three products are summed
+    clear_caches()
+    x, y = D(421, 9), D(-723, 11)
+    assert conway_mul(x, y) == x * y
+    assert cache_sizes() == (11917, 143, 196)
     clear_caches()
