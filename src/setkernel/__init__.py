@@ -33,7 +33,7 @@ from .errors import (
 from .hfset import HFSet
 from .numtower import Frac
 from .ordinal import CnfOrdinal
-from .surreal import Dyadic, SignExpansion
+from .surreal import Dyadic
 from .wforder import FinDigraph
 from .linorder import FinOrder
 
@@ -43,7 +43,6 @@ __all__ = [
     "HFSet",
     "CnfOrdinal",
     "Dyadic",
-    "SignExpansion",
     "Frac",
     "FinDigraph",
     "FinOrder",

@@ -19,7 +19,7 @@ import sys
 from . import hfset, linorder, numtower, ordinal, surreal, syntax, wforder
 from .errors import BudgetError, EvalError, KernelError, ParseError, SortMismatchError
 from .numtower import Frac
-from .surreal import Dyadic, SignExpansion
+from .surreal import Dyadic
 
 
 def _as_ordinal(v):
@@ -213,17 +213,17 @@ def render(v):
     """Canonical text for any value the evaluator can produce."""
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, (ordinal.CnfOrdinal, Frac, hfset.HFSet, SignExpansion, int)):
+    if isinstance(v, (ordinal.CnfOrdinal, Frac, hfset.HFSet, int, str)):
         return _text(v)
     if isinstance(v, frozenset):
         # a number-set literal, listed in ascending order
         return "{" + ",".join(_text(x) for x in sorted(v)) + "}"
-    if isinstance(v, str):
-        return v if v else '""'
     if isinstance(v, tuple):
         return "(" + ", ".join(render(x) for x in v) + ")"
     if isinstance(v, dict):
-        body = "; ".join(f"{render(k)} -> {render(val)}" for k, val in sorted(v.items(), key=lambda kv: render(kv[0])))
+        # an empty str key or value, such as the empty binary string, reads as ""
+        rows = sorted((render(k) or '""', render(val) or '""') for k, val in v.items())
+        body = "; ".join(f"{k} -> {val}" for k, val in rows)
         return "{" + body + "}"
     if isinstance(v, linorder.GapCut):
         return "gap"
@@ -323,7 +323,7 @@ def _cbs(path):
 
 _TEXT_COMMANDS = {
     "ucmp": (lambda a, b: {-1: "LT", 0: "EQ", 1: "GT"}[linorder.u_cmp(a, b)], _parse_binstring, _parse_binstring),
-    "between": (linorder.insert_between, _parse_binset, _parse_binset),
+    "between": (lambda a, b: linorder.insert_between(a, b) or '""', _parse_binset, _parse_binset),
     "bnf": (_bnf, str),
     "cutclass": (_cutclass, str, str),
     "collapse": (_collapse, str),

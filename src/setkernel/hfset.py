@@ -267,6 +267,8 @@ def vn_nat(n):
     """The von Neumann natural n = {0, 1, ..., n-1}."""
     if n < 0:
         raise PreconditionError("vn_nat needs a nonnegative integer")
+    if n * (n - 1) // 2 > MAX_ELEMENTS:  # node i holds i elements
+        raise BudgetError(f"vn_nat would hold more than {MAX_ELEMENTS} elements in all")
     v = _EMPTY
     for _ in range(n):
         # v is larger than each of its elements, so it goes last

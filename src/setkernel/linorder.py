@@ -16,8 +16,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from . import surreal
-from .errors import PreconditionError, WitnessError
+from . import hfset, surreal
+from .errors import BudgetError, PreconditionError, WitnessError
 from .numtower import Frac
 
 
@@ -72,6 +72,8 @@ def simplest_dyadic_labels(iterations):
     Returns (order, labels); reading the carrier through `labels` gives
     the stage listing of the surreal construction.
     """
+    if iterations >= (hfset.MAX_ELEMENTS + 1).bit_length():  # 2**iterations - 1 > MAX_ELEMENTS
+        raise BudgetError(f"simplest_dyadic_labels would make more than {hfset.MAX_ELEMENTS} labels")
     order = FinOrder()
     labels = {}
     for _ in range(iterations):

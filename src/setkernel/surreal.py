@@ -24,22 +24,26 @@ the shorter code padded with 0s, and the simplest value between two
 codes is their longest common prefix, or a shift of the longer code
 when one is a prefix of the other.  A Dyadic computes its code from
 (num, k) on first use and keeps it; a result is built straight from its
-code.  The public `simplest`, `options` and `birthday` work in closed
-form on (num, k), so `birthday(Dyadic(2**100))` builds no code.
+code.  `simplest` and `options` run on codes as well; only `birthday`
+works in closed form on (num, k), so `birthday(Dyadic(2**100))` builds
+no code.
 `_mul_core` sums each option value as (xo*y - xo*yo) + x*yo, the order
 of its two Conway adds that leaves the fewest entries in the add table.
 
-A SignExpansion is a code as well, so `to_signs`, `from_signs`,
-`born_by` and `enumerate_dyadics` are closed forms over codes: the codes
-born by day n, padded as `_lt` pads them, are one run of consecutive
-ints, and the codes in int order come by birthday and then by value.
-Both int-size bounds are checked before the int is built: `_code`
-refuses a code of more than MAX_INT_BITS signs from the birthday alone,
-and a Dyadic a denominator 2**k with k above MAX_INT_BITS.
+A sign word is a plain str over "+-": `to_signs` reads it off the code
+and `from_signs` builds the code from it.  `born_by` and
+`enumerate_dyadics` are closed forms over codes: the codes born by day
+n, padded as `_lt` pads them, are one run of consecutive ints, and the
+codes in int order come by birthday and then by value.  Every int-size
+bound is checked before the int is built: `_code` refuses a code of
+more than MAX_INT_BITS signs from the birthday alone, `from_signs` from
+the word's length, and a Dyadic a denominator 2**k with k above
+MAX_INT_BITS.
 """
 
 import itertools
 
+from . import hfset
 from .errors import MAX_INT_BITS, BudgetError, PreconditionError
 from .numtower import Frac, _parse_ratio
 
@@ -82,10 +86,6 @@ class Dyadic(Frac):
         return f"Dyadic({self})"
 
 
-ZERO = Dyadic(0)
-ONE = Dyadic(1)
-
-
 def parse_dyadic(text):
     """Parse 'm', 'm/2^k literals' such as '3/4' or '-5/8'."""
     num, den = _parse_ratio(text)
@@ -107,32 +107,12 @@ def simplest(a, b):
     hi = min(b, default=None)
     if lo is not None and hi is not None and not lo < hi:
         raise PreconditionError(f"option sets must satisfy max(a) < min(b), got {lo} >= {hi}")
-    # the integer of least magnitude inside, if there is one
-    if (lo is None or lo.num < 0) and (hi is None or hi.num > 0):
-        return ZERO
-    if hi is None or (lo is not None and lo.num >= 0):
-        n = (lo.num >> lo.k) + 1
-        if hi is None or n < hi:
-            return Dyadic(n)
-    else:
-        n = -((-hi.num) >> hi.k) - 1
-        if lo is None or lo < n:
-            return Dyadic(n)
-    # lo and hi lie in one unit interval: at a scale where both are even
-    # integers, the answer is the integer in (lo, hi) with the most
-    # trailing zeros, i.e. hi - 1 cut below the top bit where it and lo differ
-    s = max(lo.k, hi.k) + 1
-    low = lo.num << (s - lo.k)
-    top = (hi.num << (s - hi.k)) - 1
-    return Dyadic(top & -(1 << ((low ^ top).bit_length() - 1)), s)
+    return _from_code(_simplest(0 if lo is None else _code(lo), 0 if hi is None else _code(hi)))
 
 
 def options(x):
     """Canonical minimal options; simplest(*options(x)) == x."""
-    n, k = x.num, x.k
-    if k:
-        return frozenset([Dyadic(n - 1, k)]), frozenset([Dyadic(n + 1, k)])
-    return frozenset([Dyadic(n - 1)] if n > 0 else ()), frozenset([Dyadic(n + 1)] if n < 0 else ())
+    return tuple(frozenset([_from_code(o)] if o else ()) for o in _options(_code(x)))
 
 
 _NEG_CACHE = {}
@@ -347,62 +327,27 @@ def conway_mul(x, y):
     return _from_code(_mul_core(x._code or _code(x), y._code or _code(y)))
 
 
-class SignExpansion:
-    """A finite +/- word locating a number in the cut-extension tree.
-
-    Stored as its sign code: a leading 1 and then the signs, + as 1 and -
-    as 0.  The length equals the birthday of the number it denotes.
-    """
-
-    __slots__ = ("code",)
-
-    def __init__(self, bits=""):
-        if isinstance(bits, SignExpansion):
-            self.code = bits.code
-            return
-        if not isinstance(bits, str):
-            raise PreconditionError(f"sign expansion must be a str over +/- or 0/1, got {type(bits).__name__}")
-        bits = bits.replace("+", "1").replace("-", "0")
-        if any(c not in "01" for c in bits):
-            raise PreconditionError(f"sign expansion must be over +/- or 0/1, got {bits!r}")
-        self.code = int("1" + bits, 2)
-
-    @property
-    def bits(self):
-        """The signs over '01', + as '1' and - as '0'."""
-        return bin(self.code)[3:]
-
-    def __hash__(self):
-        return hash(self.code)
-
-    def __eq__(self, other):
-        if not isinstance(other, SignExpansion):
-            return NotImplemented
-        return self.code == other.code
-
-    def __len__(self):
-        return self.code.bit_length() - 1
-
-    def __str__(self):
-        return self.bits.replace("1", "+").replace("0", "-")
-
-    def __repr__(self):
-        return f"SignExpansion({str(self)!r})"
-
-
 def to_signs(x):
-    """x's sign expansion: its code, whose length `_code` bounds."""
-    s = _new(SignExpansion)
-    s.code = _code(x)
-    return s
+    """x's sign word over "+-", from its code, whose length `_code` bounds."""
+    return bin(_code(x))[3:].replace("1", "+").replace("0", "-")
 
 
 def from_signs(s):
-    return _from_code(SignExpansion(s).code)
+    """The Dyadic with sign word s, over "+-" or "01" (+ as 1)."""
+    if not isinstance(s, str):
+        raise PreconditionError(f"sign expansion must be a str over +/- or 0/1, got {type(s).__name__}")
+    if len(s) > MAX_INT_BITS:
+        raise BudgetError(f"a sign expansion of more than {MAX_INT_BITS} signs")
+    bits = s.replace("+", "1").replace("-", "0")
+    if bits.strip("01"):
+        raise PreconditionError(f"sign expansion must be over +/- or 0/1, got {s!r}")
+    return _from_code(int("1" + bits, 2))
 
 
 def born_by(n):
     """All dyadics of birthday <= n, ascending; there are 2**(n+1) - 1."""
+    if n + 1 >= (hfset.MAX_ELEMENTS + 1).bit_length():  # 2**(n+1) - 1 > MAX_ELEMENTS
+        raise BudgetError(f"born_by would list more than {hfset.MAX_ELEMENTS} dyadics")
     # padded to n + 2 bits as _lt pads them, the codes of up to n + 1 bits
     # are the ints strictly between 2**(n+1) and 2**(n+2), in value order;
     # p's code is p less its trailing 0s and the 1 above them

@@ -380,9 +380,9 @@ def test_criterion_11_roundtrip_and_batch_determinism(tmp_path):
             d = Dyadic(rng.randint(-2000, 2000), rng.randint(0, 10))
             assert surreal.parse_dyadic(str(d)) == d
         for _ in range(1000):
-            s = surreal.SignExpansion("".join(rng.choice("01") for _ in range(rng.randint(0, 12))))
-            assert surreal.SignExpansion(str(s)) == s
+            s = "".join(rng.choice("+-") for _ in range(rng.randint(0, 12)))
             assert surreal.to_signs(surreal.from_signs(s)) == s
+            assert surreal.to_signs(surreal.from_signs(s.replace("+", "1").replace("-", "0"))) == s
 
         lines = []
         g = random.Random(7)

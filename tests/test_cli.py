@@ -273,6 +273,11 @@ def test_string_commands():
     assert render(s.run_line(":cutclass left 1/2")) == "left-max 1/2"
     out = s.run_line(":bnf 6")
     assert len(out) == 3
+    # the empty sign word prints as an empty line, the empty binary string as ""
+    assert s.outcome(":signs 0") == (0, "")
+    assert s.outcome(":signs -3/4") == (0, "-+-")
+    assert s.outcome(":between {} {}") == (0, '""')
+    assert s.outcome(":bnf 2") == (0, '{"" -> 0}')
 
 
 def test_file_commands(tmp_path):
@@ -285,6 +290,8 @@ def test_file_commands(tmp_path):
     maps = tmp_path / "m.json"
     maps.write_text(json.dumps({"f": {"0": "a"}, "g": {"a": "0"}}))
     assert s.run_line(f":cbs {maps}") == {"0": "a"}
+    maps.write_text(json.dumps({"f": {"": "a", "b": ""}, "g": {"a": "", "": "b"}}))
+    assert s.outcome(f":cbs {maps}") == (0, '{"" -> a; b -> ""}')
 
 
 @pytest.mark.parametrize(
@@ -321,9 +328,11 @@ def test_every_command_reports_one_argument_too_many(name):
     assert Session().outcome(line) == (1, f"{name} takes {want} {noun}, got {want + 1}")
 
 
-@pytest.mark.parametrize("line", ["9^9^9", "(w+1)^100000000", "3^(w+100000000)"])
+@pytest.mark.parametrize("line", ["9^9^9", "(w+1)^100000000", "3^(w+100000000)", ":encode 100000000"])
 def test_huge_powers_end_in_budget_errors(line):
+    start = time.perf_counter()
     code, text = Session().outcome(line)
+    assert time.perf_counter() - start < 0.1
     assert code == 1
     assert "more than" in text
 

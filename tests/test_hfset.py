@@ -115,6 +115,17 @@ def test_power_budget(monkeypatch):
         power(small)
     monkeypatch.setattr(hfset, "MAX_ELEMENTS", 8)
     assert len(power(small)) == 8
+    # vn_nat(n) holds 0 + 1 + ... + (n - 1) = n(n - 1)/2 elements in all
+    assert len(vn_nat(4)) == 4
+    with pytest.raises(BudgetError):
+        vn_nat(5)
+    monkeypatch.undo()
+    assert len(vn_nat(1414)) == 1414
+    for f, n in ((vn_nat, 1415), (vn_nat, 10 ** 7), (vn_nat, 10 ** 40), (numtower.z_encode, 10 ** 40)):
+        start = time.perf_counter()
+        with pytest.raises(BudgetError):
+            f(n)
+        assert time.perf_counter() - start < 0.1
 
 
 def test_tc_examples():

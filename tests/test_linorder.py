@@ -8,7 +8,7 @@ from helpers import sign_walk, u_cmp_oracle
 
 from setkernel import surreal
 from setkernel.cli import Session
-from setkernel.errors import PreconditionError, WitnessError
+from setkernel.errors import BudgetError, PreconditionError, WitnessError
 from setkernel.linorder import (
     AtRationalLeftClosed,
     AtRationalRightClosed,
@@ -75,6 +75,12 @@ def test_stage_labeling_matches_listing():
     assert listing == surreal.born_by(4)
     assert listing[0] == Dyadic(-4)
     assert listing[-1] == Dyadic(4)
+    # 2^n - 1 labels, refused up front past the element budget of 10^6
+    for n in (20, 40, 10 ** 40):
+        start = time.perf_counter()
+        with pytest.raises(BudgetError):
+            simplest_dyadic_labels(n)
+        assert time.perf_counter() - start < 0.1
 
 
 def test_u_cmp_examples():
@@ -125,7 +131,7 @@ def test_u_cmp_agrees_with_string_oracle():
 def test_u_cmp_matches_sign_expansion_order():
     # the sign-expansion map is an order isomorphism onto the string order
     pool = surreal.born_by(8)
-    signs = [surreal.to_signs(d).bits for d in pool]
+    signs = [surreal.to_signs(d).replace("+", "1").replace("-", "0") for d in pool]
     for i, si in enumerate(signs):
         for sj in signs[i + 1:]:
             assert u_cmp(si, sj) < 0

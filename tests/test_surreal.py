@@ -8,11 +8,10 @@ from fractions import Fraction
 import pytest
 
 from setkernel.cli import Session
-from setkernel.errors import BudgetError, KernelError, PreconditionError
+from setkernel.errors import MAX_INT_BITS, BudgetError, KernelError, PreconditionError
 from setkernel.numtower import Frac, parse_frac
 from setkernel.surreal import (
     Dyadic,
-    SignExpansion,
     _code,
     _from_code,
     _lt,
@@ -153,38 +152,67 @@ def test_group_laws_random():
 @pytest.mark.parametrize("bad", ["+x", "2", 5, None])
 def test_sign_expansion_refuses_bad_input(bad):
     with pytest.raises(PreconditionError):
-        SignExpansion(bad)
-    with pytest.raises(PreconditionError):
         from_signs(bad)
 
 
 def test_sign_expansion_roundtrip_and_length():
-    assert to_signs(D(0)) == SignExpansion("")
-    assert to_signs(HALF) == SignExpansion("+-")
-    assert str(to_signs(HALF)) == "+-"
-    assert to_signs(D(2)) == SignExpansion("++")
-    assert to_signs(D(-3, 2)) == SignExpansion("-+-")
+    assert to_signs(D(0)) == ""
+    assert to_signs(HALF) == "+-"
+    assert to_signs(D(2)) == "++"
+    assert to_signs(D(-3, 2)) == "-+-"
     for d in born_by(8):
         s = to_signs(d)
         assert len(s) == birthday(d)
         assert from_signs(s) == d
+        assert from_signs(s.replace("+", "1").replace("-", "0")) == d
     assert from_signs("+-") == HALF
-    assert from_signs(SignExpansion("10")) == HALF
+    assert from_signs("10") == HALF
     # the signs read off each code, against the value the birth-tree walk gives it
     for code, (v, _, _) in birth_tree(10).items():
         signs = bin(code)[3:].replace("1", "+").replace("0", "-")
-        assert str(to_signs(D(v.numerator, v.denominator.bit_length() - 1))) == signs
+        assert to_signs(D(v.numerator, v.denominator.bit_length() - 1)) == signs
+
+
+def _ends(f, *args):
+    """f(*args), or the KernelError it raises; a refusal must come within 0.1 s."""
+    start = time.perf_counter()
+    try:
+        return f(*args)
+    except KernelError as exc:
+        assert time.perf_counter() - start < 0.1, (f.__name__, exc)
+        return exc
 
 
 def test_sign_expansion_length_is_capped():
-    assert len(to_signs(D(1 << 16))) == 1 << 16
-    for day in (2 ** 16 + 1, 2 ** 60, 10 ** 5000):
-        huge = D(day)
-        start = time.perf_counter()
-        with pytest.raises(BudgetError):
-            to_signs(huge)
-        assert time.perf_counter() - start < 0.1
+    # every public callable at and past the budget of MAX_INT_BITS = 2^16 signs
+    for day in (MAX_INT_BITS, MAX_INT_BITS + 1, 2 ** 60, 10 ** 40):
+        fits = day <= MAX_INT_BITS
+        xs = [_ends(D, day), _ends(D, -day), _ends(parse_dyadic, str(day)), _ends(parse_dyadic, str(-day))]
+        # 2^-(day - 1) is born on day too; Dyadic refuses its 2^k past k = 2^16
+        tiny = _ends(D, 1, day - 1)
+        if isinstance(tiny, Dyadic):
+            xs.append(tiny)
+        else:
+            assert isinstance(tiny, BudgetError) and day - 1 > MAX_INT_BITS
+        for x in xs:
+            assert birthday(x) == day
+            calls = [(simplest, [x], []), (simplest, [], [x]), (options, x), (to_signs, x)]
+            if not fits:  # conway_add at day 2^16 itself takes seconds (ROADMAP item 5)
+                calls += [(conway_add, x, D(1)), (conway_neg, x), (conway_mul, x, D(1))]
+            for f, *args in calls:
+                assert isinstance(_ends(f, *args), BudgetError) != fits, (f.__name__, day)
+        if fits:
+            assert to_signs(xs[0]) == "+" * day
+    assert isinstance(_ends(to_signs, D(10 ** 5000)), BudgetError)
+    word = "+-" * (MAX_INT_BITS // 2)
+    assert to_signs(_ends(from_signs, word)) == word
+    for word in (word + "-", "+-" * 100000):
+        assert isinstance(_ends(from_signs, word), BudgetError)
+    assert len(_ends(born_by, 18)) == (1 << 19) - 1
+    for n in (19, 40, 10 ** 40):
+        assert isinstance(_ends(born_by, n), BudgetError)
     assert Session().outcome(":signs 2^60")[0] == 1
+    assert Session().outcome("simp {2^100} {}") == (1, "a sign expansion of more than 65536 signs")
 
 
 def test_stage_cardinalities():
@@ -284,17 +312,6 @@ def test_code_options_order_and_simplest_against_birth_tree_walk():
         for b in bounds:
             if not (a and b) or rank[a] < rank[b]:
                 assert _simplest(a, b) == simplest_walk(tree[a][0] if a else None, tree[b][0] if b else None)
-
-
-def test_code_simplest_matches_public_simplest():
-    pool = born_by(7)
-    codes = [_code(D(d.num, d.k)) for d in pool]
-    for a, ca in zip(pool, codes):
-        assert _from_code(_simplest(0, ca)) == simplest([], [a])
-        assert _from_code(_simplest(ca, 0)) == simplest([a], [])
-        for b, cb in zip(pool, codes):
-            if a < b:
-                assert _from_code(_simplest(ca, cb)) == simplest([a], [b])
 
 
 def test_dyadic_code_round_trip():
