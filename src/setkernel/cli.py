@@ -9,11 +9,18 @@ A `Session` holds the `let` bindings and evaluates lines.  Each command
 is one table row: its function and one reader per argument.  Every
 command reports a wrong argument count in one form, such as
 `signs takes 1 argument, got 0`.
+
+A value text (a whole value line, or one argument of a value command)
+made only of braces, commas and whitespace is an HF set literal, and
+`hfset.parse_set` reads it: in one pass, with no depth limit, so every
+set the CLI prints reads back.  Every other text goes to `syntax.parse`,
+whose `SetLit` is the reader for literals that hold numbers or names.
 """
 
 import argparse
 import json
 import operator
+import re
 import sys
 
 from . import hfset, linorder, numtower, ordinal, surreal, syntax, wforder
@@ -114,6 +121,10 @@ def _apply(name, row, args):
     return row[0](*map(operator.call, row[1:], args))
 
 
+# a text of braces, commas and whitespace only, opening with a brace
+_braces_only = re.compile(r"\s*\{[\s{},]*").fullmatch
+
+
 class Session:
     """One REPL or batch session: its `let` bindings and the evaluator."""
 
@@ -158,6 +169,8 @@ class Session:
         return frozenset(_as_frac(i) for i in items)
 
     def eval_text(self, text):
+        if _braces_only(text):
+            return hfset.parse_set(text)
         return self.eval_node(syntax.parse(text))
 
     def run_line(self, line):

@@ -101,12 +101,21 @@ def birthday(x):
     return (abs(x.num) >> x.k) + 1 + x.k
 
 
+def _named(x):
+    """x for a message: in decimal, or as num/2^k with num in hex where
+    the decimal text is past Python's digit limit (hex has none)."""
+    try:
+        return str(x)
+    except ValueError:
+        return f"{x.num:#x}/2^{x.k}"
+
+
 def simplest(a, b):
     """The unique earliest-born dyadic strictly between the sets a and b."""
     lo = max(a, default=None)
     hi = min(b, default=None)
     if lo is not None and hi is not None and not lo < hi:
-        raise PreconditionError(f"option sets must satisfy max(a) < min(b), got {lo} >= {hi}")
+        raise PreconditionError(f"option sets must satisfy max(a) < min(b), got {_named(lo)} >= {_named(hi)}")
     return _from_code(_simplest(0 if lo is None else _code(lo), 0 if hi is None else _code(hi)))
 
 
@@ -346,6 +355,8 @@ def from_signs(s):
 
 def born_by(n):
     """All dyadics of birthday <= n, ascending; there are 2**(n+1) - 1."""
+    if n < 0:
+        return []
     if n + 1 >= (hfset.MAX_ELEMENTS + 1).bit_length():  # 2**(n+1) - 1 > MAX_ELEMENTS
         raise BudgetError(f"born_by would list more than {hfset.MAX_ELEMENTS} dyadics")
     # padded to n + 2 bits as _lt pads them, the codes of up to n + 1 bits

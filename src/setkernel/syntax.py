@@ -18,6 +18,12 @@ and '^' chains may nest at most MAX_NESTING deep.  An operator chain is
 one flat Chain node folded from the left, however long it is.  AST
 nodes are slots dataclasses, equal and hashed by value; nothing assigns
 to a built node.
+
+The CLI hands a text of braces, commas and whitespace alone to
+hfset.parse_set, which has no depth limit.  From the CLI, parse sees
+only texts that hold more than that, such as {1/2, 1}, {a, {}} or
+{{}}+1, so SetLit is the reader for literals with numbers or names in
+them.
 """
 
 import re

@@ -415,6 +415,51 @@ def test_roundtrip_fuzz_parse_print():
         assert got == f or (f.is_integer() and got == f.num)
 
 
+def test_every_printed_set_reads_back(tmp_path):
+    # a brace-only line goes to hfset.parse_set, which has no depth limit
+    rng = random.Random(18)
+    chain = tmp_path / "chain.txt"
+    chain.write_text("".join(f"n{i} n{i + 1}\n" for i in range(250)))
+    collapsed = Session().run_line(f":collapse {chain}")["n250"]
+    assert str(collapsed).startswith("{" * 251 + "}")
+    sets = [rand_hfset(rng, 5, max_width=4) for _ in range(100)]
+    sets += [hfset.vn_nat(n) for n in range(13)]
+    deep = hfset.empty()
+    for _ in range(5000):
+        deep = hfset.singleton(deep)
+    sets += [collapsed, deep]
+    for x in sets:
+        text = str(x)
+        assert Session().outcome(text) == (0, text)
+        assert Session().outcome(f":rank {text}") == (0, str(hfset.rank_in(x)))
+        assert Session().outcome(f"  {text}  ") == (0, text)
+    assert Session().outcome(f":tc {collapsed}") == (0, str(hfset.tc(collapsed)))
+
+
+@pytest.mark.parametrize("literal", ["{{}", "{,}", "{},{}", "{{},}", "{}}", "{ { } "])
+def test_malformed_brace_only_lines_carry_parse_set_errors(literal):
+    with pytest.raises(ParseError) as exc:
+        hfset.parse_set(literal)
+    assert Session().outcome(literal) == (2, str(exc.value))
+    assert Session().outcome(f":rank {literal}") == (2, str(exc.value))
+
+
+def test_literals_with_numbers_or_names_keep_the_syntax_reader():
+    s = Session()
+    assert s.outcome("{{}}+1") == (1, "operator '+' does not apply to sets")
+    assert s.outcome("{ {}, 1 }") == (1, "set literal mixes sets and numbers")
+    assert s.outcome("{a}") == (1, "unbound name 'a'")
+    assert s.outcome("let a = {{}}") == (0, "{{}}")
+    assert s.outcome("{a}") == (0, "{{{}}}")
+    assert s.outcome("{a, {}}") == (0, "{{},{{}}}")
+    assert s.outcome(":tc {a}") == (0, "{{},{{}}}")
+    assert s.outcome("{1/2, 1}") == (0, "{1/2,1}")
+    assert s.outcome(":simp {} {}") == (0, "0")
+    assert s.outcome("simp {} {0}") == (0, "-1")
+    assert s.outcome("{{" * 201 + "}}" * 201 + "+1")[0] == 2  # the syntax reader's depth limit
+    assert s.outcome("{x}}") == (2, "1:3: trailing input (expected end of input)")
+
+
 def test_batch_mode(tmp_path, capsys):
     src = tmp_path / "in.txt"
     src.write_text("w*2 + 1\n:simp {0} {1}\n\n1/2+1/4\n")

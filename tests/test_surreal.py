@@ -215,6 +215,22 @@ def test_sign_expansion_length_is_capped():
     assert Session().outcome("simp {2^100} {}") == (1, "a sign expansion of more than 65536 signs")
 
 
+def test_born_by_a_negative_day_is_empty():
+    for n in (-1, -2, -65, -(10 ** 40)):
+        assert born_by(n) == []
+
+
+def test_simplest_names_bounds_past_the_digit_limit():
+    # str() of these bounds is past Python's 4,300-digit limit
+    tiny = D(1, 65535)
+    with pytest.raises(PreconditionError, match=r"got 0x1/2\^65535 >= 0x1/2\^65535$"):
+        simplest([tiny], [tiny])
+    with pytest.raises(PreconditionError, match=f"got {10 ** 5000:#x}/2\\^0 >= 1$"):
+        simplest([D(10 ** 5000)], [D(1)])
+    with pytest.raises(PreconditionError, match="got -3/4 >= -1$"):
+        simplest([D(-3, 2)], [D(-1)])
+
+
 def test_stage_cardinalities():
     for n in range(9):
         assert len(born_by(n)) == (1 << (n + 1)) - 1
