@@ -21,8 +21,11 @@ the call.  The builders that know their order skip the sort:
 codes in ascending order), `power` (a subset's code grows with its
 mask), `vn_nat` (n is larger than each of its elements), `kpair` ({x} is
 a proper subset of {x,y}), `singleton`, `pair` (one comparison),
-`v_stage`, and `&` and `-` (they filter an ascending tuple).
-`goedel_ext` runs its five unary operations once per element.
+`v_stage`, `&` and `-` (they filter an ascending tuple), and `_g3` and
+`_g6`, the products of Goedel operations 3 and 6 (a Kuratowski pair's
+place follows from its elements' places, see `_pairs`).  `goedel_ext`
+runs its five unary operations once per element and builds each pair of
+its products once per step.
 
 The intern table maps element tuples to weak references and never keeps a
 node alive; a node removes its own entry when it dies.  Only `_V4`, the
@@ -33,7 +36,7 @@ thread at a time.
 
 import weakref
 from functools import cmp_to_key
-from itertools import chain
+from itertools import chain, product
 
 from .errors import MAX_INT_BITS, BudgetError, ParseError, PreconditionError
 
@@ -326,7 +329,7 @@ def _g1(x, y):
 
 def _g3(x, y):
     # membership relation restricted to x cross y
-    return HFSet(kpair(u, v) for u in x for v in y if u in v)
+    return _pairs(_inside(x, y), _index(x | y), {})
 
 
 def _g4(x, y):
@@ -338,7 +341,7 @@ def _g5(x, y):
 
 
 def _g6(x, y):
-    return HFSet(kpair(u, v) for u in x for v in y)
+    return _pairs(product(x._elems, y._elems), _index(x | y), {})
 
 
 def _g7(x, y):
@@ -353,27 +356,65 @@ def _g8(x, y):
 _GOEDEL_OPS = (_g0, _g1, pair, _g3, _g4, _g5, _g6, _g7, _g8)
 
 
+def _index(x):
+    """Each element of x by its position, which ascends with the element."""
+    return {e: i for i, e in enumerate(x._elems)}
+
+
+def _inside(x, y):
+    """The (a, b) in x cross y with a in b."""
+    xs = set(x._elems)
+    return [(a, b) for b in y._elems for a in b._elems if a in xs]
+
+
+def _pairs(ab, index, table):
+    """The set of the pairs <a, b> for the distinct (a, b) in ab, with no
+    comparison sort.  `index` numbers, in ascending order, the elements of a
+    set holding every a and b, and `table` maps a rank to its pair once built.
+    With a, b numbered i, j, {{a},{a,b}} compares by {a,b}, so by max(i, j) and
+    min(i, j), then by {a}, and {{a}} is the least pair with max i: so the
+    pairs ascend with rank max^2, plus 2*min + 1 + (i > j) when i != j."""
+    ranks = []
+    for a, b in ab:
+        i, j = index[a], index[b]
+        r = j * j + 2 * i + 1 if i < j else i * i + 2 * j + 2 if j < i else i * i
+        if r not in table:
+            table[r] = kpair(a, b)
+        ranks.append(r)
+    ranks.sort()
+    return _node(tuple(map(table.__getitem__, ranks)))
+
+
 def goedel_op(i, x, y):
     """Apply basic operation i (0..8) to the pair (x, y)."""
     if not isinstance(i, int) or not 0 <= i <= 8:
         raise PreconditionError(f"operation index {i!r} not an int in 0..8")
+    # a product of MAX_ELEMENTS pairs is already refused: 1000 x 1000 takes seconds
+    if i in (3, 6) and len(x) * len(y) >= MAX_ELEMENTS:
+        raise BudgetError(f"operation {i} would pair {len(x)} by {len(y)} elements (budget {MAX_ELEMENTS})")
     return _GOEDEL_OPS[i](x, y)
 
 
 def goedel_ext(x):
-    """One extension step: all op results over ordered element pairs of x."""
+    """One extension step: all op results over ordered element pairs of x,
+    guarded by the element budget MAX_ELEMENTS."""
+    n, m = len(x), sum(map(len, x))
+    # the op results it makes, and the pairs its products of u and v hold
+    if max(n * (4 * n + 5), m * m) > MAX_ELEMENTS:
+        raise BudgetError(f"hull step on {n} elements exceeds budget {MAX_ELEMENTS}")
     # operations 0, 4, 5, 7 and 8 read only their first argument
     unary = (op(u, u) for u in x for op in (_g0, _g4, _g5, _g7, _g8))
-    binary = (op(u, v) for u in x for v in x for op in (_g1, pair, _g3, _g6))
-    return HFSet(chain(unary, binary))
+    binary = (op(u, v) for u in x for v in x for op in (_g1, pair))
+    index, table = _index(union(x)), {}  # one table of pairs serves every product
+    products = (_pairs(ab, index, table) for u in x for v in x
+                for ab in (_inside(u, v), product(u._elems, v._elems)))
+    return HFSet(chain(unary, binary, products))
 
 
 def goedel_hull(x, n):
-    """n-fold iterate of the extension step, guarded by the element budget MAX_ELEMENTS."""
+    """n-fold iterate of the extension step."""
     cur = x
     for _ in range(n):
-        if len(cur) * (4 * len(cur) + 5) > MAX_ELEMENTS:  # the op results goedel_ext makes
-            raise BudgetError(f"hull step on {len(cur)} elements exceeds budget {MAX_ELEMENTS}")
         nxt = goedel_ext(cur)
         if nxt is cur:  # a fixed point: every later step returns it too
             break
@@ -453,8 +494,16 @@ def ackermann_decode(n):
     return _V4[n] if n < 16 else rec(n)
 
 
+def _column(text, pos):
+    """Where in `text` its pos-th non-blank character is, or past the last one
+    (trailing blanks do not count, as the CLI strips its lines)."""
+    places = [i for i, c in enumerate(text) if not c.isspace()]
+    return places[pos] if pos < len(places) else len(text.rstrip())
+
+
 def parse_set(text):
-    """Parse the brace syntax, e.g. '{{},{{}}}'. Whitespace is ignored."""
+    """Parse the brace syntax, e.g. '{{},{{}}}'.  Whitespace is ignored, and
+    an error's column counts in `text` as given."""
     s = "".join(text.split())
     read = []  # the nodes read so far of every brace still open
     starts = []  # where each open brace's elements begin in `read`
@@ -465,12 +514,12 @@ def parse_set(text):
             if not starts:
                 if c is None:
                     return read[0]
-                raise ParseError("trailing input after set literal", column=pos)
+                raise ParseError("trailing input after set literal", column=_column(text, pos))
             if c == ",":
                 after = False
                 continue
             if c != "}":
-                raise ParseError("expected ',' or '}'", column=pos, expected=(",", "}"))
+                raise ParseError("expected ',' or '}'", column=_column(text, pos), expected=(",", "}"))
         elif c == "{":
             starts.append(len(read))
             opened = True
@@ -481,7 +530,7 @@ def parse_set(text):
             after, opened = True, False
             continue
         else:
-            raise ParseError("expected '{'", column=pos, expected=("{",))
+            raise ParseError("expected '{'", column=_column(text, pos), expected=("{",))
         # c closes a brace that holds at least one element
         start = starts.pop()
         key = tuple(read[start:])

@@ -14,7 +14,7 @@ import numbers
 import sys
 
 from . import hfset
-from .errors import PreconditionError, ZeroDivisorError
+from .errors import BudgetError, PreconditionError, ZeroDivisorError
 
 
 class Frac:
@@ -105,10 +105,23 @@ class Frac:
     __rmul__ = __mul__
 
     def __str__(self):
-        return str(self.num) if self.den == 1 else f"{self.num}/{self.den}"
+        try:
+            return str(self.num) if self.den == 1 else f"{self.num}/{self.den}"
+        except ValueError as exc:  # Python's limit on the digits of an int in decimal
+            raise BudgetError("result has too many decimal digits to print") from exc
 
     def __repr__(self):
-        return f"Frac({self})"
+        return f"{type(self).__name__}({_named(self)})"
+
+
+def _named(x):
+    """x for a message: as str() prints it, or past Python's digit limit in
+    hex, which has none, with a power-of-two denominator as 2^k."""
+    try:
+        return str(x)
+    except BudgetError:
+        k = x.den.bit_length() - 1
+        return f"{x.num:#x}/" + (f"2^{k}" if x.den == 1 << k else f"{x.den:#x}")
 
 
 def _coerce(x):

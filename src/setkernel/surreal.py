@@ -45,7 +45,7 @@ import itertools
 
 from . import hfset
 from .errors import MAX_INT_BITS, BudgetError, PreconditionError
-from .numtower import Frac, _parse_ratio
+from .numtower import Frac, _named, _parse_ratio
 
 
 class Dyadic(Frac):
@@ -82,9 +82,6 @@ class Dyadic(Frac):
     def __neg__(self):
         return Dyadic(-self.num, self.k)
 
-    def __repr__(self):
-        return f"Dyadic({self})"
-
 
 def parse_dyadic(text):
     """Parse 'm', 'm/2^k literals' such as '3/4' or '-5/8'."""
@@ -99,15 +96,6 @@ def birthday(x):
     if x.k == 0:
         return abs(x.num)
     return (abs(x.num) >> x.k) + 1 + x.k
-
-
-def _named(x):
-    """x for a message: in decimal, or as num/2^k with num in hex where
-    the decimal text is past Python's digit limit (hex has none)."""
-    try:
-        return str(x)
-    except ValueError:
-        return f"{x.num:#x}/2^{x.k}"
 
 
 def simplest(a, b):

@@ -11,6 +11,7 @@ their definitions, both on frozensets.
 """
 
 import itertools
+import re
 
 from setkernel import hfset, ordinal, surreal
 from setkernel.hfset import HFSet
@@ -206,10 +207,14 @@ def parse_set_oracle(text):
 
     Recursive descent over the text with its whitespace removed, indexing
     characters by position and building frozensets.  Returns the frozenset,
-    or (message, column, expected) for the first error, with columns
-    counted in the whitespace-free text.
+    or (message, column, expected) for the first error, with the column
+    counted in the text as given and an error at the end just past its
+    last non-blank character.
     """
     s = "".join(text.split())
+    # the column in `text` of each character of s, and of the end of s
+    marks = list(re.finditer(r"\S", text))
+    columns = [m.start() for m in marks] + [marks[-1].end() if marks else 0]
 
     def fail(message, i, expected=()):
         raise _LiteralError(message, i, expected)
@@ -237,7 +242,8 @@ def parse_set_oracle(text):
         if i != len(s):
             fail("trailing input after set literal", i)
     except _LiteralError as e:
-        return e.args
+        message, i, expected = e.args
+        return message, columns[i], expected
     return value
 
 

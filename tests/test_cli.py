@@ -444,6 +444,12 @@ def test_malformed_brace_only_lines_carry_parse_set_errors(literal):
     assert Session().outcome(f":rank {literal}") == (2, str(exc.value))
 
 
+def test_brace_only_errors_count_columns_in_the_line():
+    # the stray '}' is column 7, blanks counted, as syntax.parse counts them
+    assert Session().outcome("{ {} , }") == (2, "1:7: expected '{' (expected {)")
+    assert Session().outcome("{ {} , )") == (2, "1:7: unexpected token ')' (expected atom)")
+
+
 def test_literals_with_numbers_or_names_keep_the_syntax_reader():
     s = Session()
     assert s.outcome("{{}}+1") == (1, "operator '+' does not apply to sets")

@@ -282,11 +282,57 @@ def test_goedel_hull_budget_counts_the_results_of_a_step(monkeypatch):
     x = vn_nat(20)
     # so the step's result never outgrows the budget its count passed
     assert len(goedel_ext(x)) <= 20 * (4 * 20 + 5)
-    monkeypatch.setattr(hfset, "MAX_ELEMENTS", 1700)
+    # its products hold (sum of |u| for u in x)^2 pairs: 190^2 = 36100, the larger count
+    monkeypatch.setattr(hfset, "MAX_ELEMENTS", 36100)
     assert goedel_hull(x, 1) is goedel_ext(x)
-    monkeypatch.setattr(hfset, "MAX_ELEMENTS", 1699)
-    with pytest.raises(BudgetError, match="hull step on 20 elements exceeds budget 1699"):
+    monkeypatch.setattr(hfset, "MAX_ELEMENTS", 36099)
+    with pytest.raises(BudgetError, match="hull step on 20 elements exceeds budget 36099"):
         goedel_hull(x, 1)
+
+
+def test_goedel_products_are_the_sorted_sets_of_pairs():
+    # operations 3 and 6 order their pairs by rank, with no comparison sort
+    rng = random.Random(19)
+    cases = []
+    for _ in range(300):
+        x, y, z = (rand_hfset(rng, rng.randint(1, 5), max_width=5) for _ in range(3))
+        cases += [(x, x), (x - y, y - x), (x | z, y | z)]  # a = b, disjoint, overlapping
+    assert max(rank_in(u) for u, _ in cases) == 5
+    assert all(not u & v for u, v in cases[1::3])
+    assert sum(bool(u and v) for u, v in cases[1::3]) >= 50
+    assert sum(bool(u & v) and u is not v for u, v in cases[2::3]) >= 100
+    for x, y in cases:
+        assert goedel_op(6, x, y) is HFSet(kpair(a, b) for a in x for b in y)
+        assert goedel_op(3, x, y) is HFSet(kpair(a, b) for a in x for b in y if a in b)
+
+
+def test_goedel_ext_builds_each_product_pair_once(monkeypatch):
+    # no element of x holds a pair or triple, so operations 4 and 8 make no pair
+    x = HFSet([vn_nat(5), vn_nat(3), pair(TWO, vn_nat(4)), singleton(vn_nat(4))])
+    calls = []
+    real = hfset.kpair
+    monkeypatch.setattr(hfset, "kpair", lambda a, b: calls.append((a, b)) or real(a, b))
+    result = goedel_ext(x)
+    elems = union(x).elements
+    # one call per pair over the union; the products visit (5 + 3 + 2 + 1)^2 = 121
+    assert len(calls) == len(set(calls)) == len(elems) ** 2 == 25
+    assert set(calls) == {(a, b) for a in elems for b in elems}
+    calls.clear()
+    assert len(goedel_op(6, vn_nat(5), TWO)) == len(calls) == 10
+    monkeypatch.undo()
+    assert to_frozen(result) == goedel_ext_oracle(to_frozen(x))
+
+
+def test_goedel_product_budgets_refuse_at_once():
+    # 1000 x 1000 pairs for one product, 79,800^2 for the products of a step
+    big, n400 = vn_nat(1000), vn_nat(400)
+    for run in (lambda: goedel_op(6, big, big), lambda: goedel_op(3, big, big),
+                lambda: goedel_tree_eval((6,), (big, big)), lambda: goedel_ext(n400),
+                lambda: goedel_hull(n400, 1)):
+        start = time.perf_counter()
+        with pytest.raises(BudgetError):
+            run()
+        assert time.perf_counter() - start < 0.1
 
 
 def test_goedel_tree_eval_clauses():
@@ -440,6 +486,14 @@ def test_parse_and_print():
         parse_set("{,}")
     with pytest.raises(ParseError):
         parse_set("{}{}")
+
+
+def test_parse_error_columns_count_in_the_text_as_given():
+    # an error at the end lies just past the last non-blank character
+    for text, column in (("{ {} , }", 7), ("{ { } ", 5), ("  {{}", 5), (" {} {} ", 4), ("\t{,}", 2), ("  ", 0)):
+        with pytest.raises(ParseError) as exc:
+            parse_set(text)
+        assert exc.value.column == column, text
 
 
 def _shuffled_literal(x, rng):

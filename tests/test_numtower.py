@@ -6,7 +6,7 @@ import pytest
 
 from setkernel import hfset, ordinal, surreal
 from setkernel.cli import Session
-from setkernel.errors import KernelError, PreconditionError, ZeroDivisorError
+from setkernel.errors import BudgetError, KernelError, PreconditionError, ZeroDivisorError
 from setkernel.numtower import Frac, parse_frac, q_decode, q_encode, z_decode, z_encode
 
 
@@ -174,3 +174,19 @@ def test_parse_frac():
 def test_parse_frac_rejects_malformed_literal():
     with pytest.raises(PreconditionError):
         parse_frac("1/2/3")
+
+
+def test_huge_fractions_repr_in_hex_and_refuse_decimal_text():
+    # past Python's 4,300-digit limit: repr falls back to hex, str is a budget error
+    x = Frac(1, 3 ** 10000)
+    assert repr(x) == f"Frac(0x1/{3 ** 10000:#x})"
+    assert repr(Frac(-(10 ** 5000))) == f"Frac({-(10 ** 5000):#x}/2^0)"
+    assert repr(surreal.Dyadic(1, 65535)) == "Dyadic(0x1/2^65535)"
+    for y in (x, surreal.Dyadic(1, 65535)):
+        with pytest.raises(BudgetError, match="^result has too many decimal digits to print$"):
+            str(y)
+    # the CLI prints the message it printed when it caught the ValueError itself
+    s = Session()
+    s.outcome(f"let a = 1/{'9' * 3000}")
+    assert s.outcome("a * a") == (1, "result has too many decimal digits to print")
+    assert s.outcome("{a * a, 1}") == (1, "result has too many decimal digits to print")
