@@ -15,8 +15,9 @@ read largest-first.
 
 Every node is built by `_node` from a strictly ascending element tuple.
 `HFSet(...)`, `|`, `union` and `tc` sort their input first; `parse_set`
-sorts each distinct sub-literal once per call, through a memo local to
-the call.  The builders that know their order skip the sort:
+sorts each distinct set once per call, through a memo local to the call
+keyed by element set, so the order and repeats of elements as written
+do not count.  The builders that know their order skip the sort:
 `ackermann_decode` (a code's set bits, read upwards, are its elements'
 codes in ascending order), `power` (a subset's code grows with its
 mask), `vn_nat` (n is larger than each of its elements), `kpair` ({x} is
@@ -494,10 +495,12 @@ def ackermann_decode(n):
     return _V4[n] if n < 16 else rec(n)
 
 
-def _column(text, pos):
-    """Where in `text` its pos-th non-blank character is, or past the last one
-    (trailing blanks do not count, as the CLI strips its lines)."""
-    places = [i for i, c in enumerate(text) if not c.isspace()]
+def _column(text, tokens, i):
+    """Where in `text` the i-th of parse_set's `tokens` is, or past the last
+    non-blank character (the CLI strips its lines).  Each '0' among the
+    tokens stands for the two characters '{}'."""
+    pos = i + tokens.count("0", 0, i)
+    places = [j for j, c in enumerate(text) if not c.isspace()]
     return places[pos] if pos < len(places) else len(text.rstrip())
 
 
@@ -505,37 +508,34 @@ def parse_set(text):
     """Parse the brace syntax, e.g. '{{},{{}}}'.  Whitespace is ignored, and
     an error's column counts in `text` as given."""
     s = "".join(text.split())
-    read = []  # the nodes read so far of every brace still open
-    starts = []  # where each open brace's elements begin in `read`
-    built = {}  # a brace's elements as read, repeats and all -> its node
-    after = opened = False  # just after a set / just after '{'
-    for pos, c in enumerate(chain(s, (None,))):  # None is the end of the text
+    end = len(s) - len(s.lstrip("{},"))  # the first character that is no brace or comma
+    tokens = s[:end].replace("{}", "0") + "$"  # '$' is the end of what can be read
+    outer = []  # the element lists of the enclosing open braces
+    elems = []  # the nodes read so far in the innermost open brace
+    built = {}  # a brace's element set -> its node
+    after = False  # just after a set
+    for i, c in enumerate(tokens):
         if after:
-            if not starts:
-                if c is None:
-                    return read[0]
-                raise ParseError("trailing input after set literal", column=_column(text, pos))
+            if not outer:
+                if c == "$" and end == len(s):
+                    return elems[0]
+                raise ParseError("trailing input after set literal", column=_column(text, tokens, i))
             if c == ",":
                 after = False
-                continue
-            if c != "}":
-                raise ParseError("expected ',' or '}'", column=_column(text, pos), expected=(",", "}"))
+            elif c == "}":
+                key = frozenset(elems)
+                x = built.get(key)
+                if x is None:
+                    x = built[key] = _node(tuple(sorted(key, key=_SORT_KEY)))
+                elems = outer.pop()
+                elems.append(x)
+            else:
+                raise ParseError("expected ',' or '}'", column=_column(text, tokens, i), expected=(",", "}"))
+        elif c == "0":
+            elems.append(_EMPTY)
+            after = True
         elif c == "{":
-            starts.append(len(read))
-            opened = True
-            continue
-        elif c == "}" and opened:
-            starts.pop()
-            read.append(_EMPTY)
-            after, opened = True, False
-            continue
+            outer.append(elems)
+            elems = []
         else:
-            raise ParseError("expected '{'", column=_column(text, pos), expected=("{",))
-        # c closes a brace that holds at least one element
-        start = starts.pop()
-        key = tuple(read[start:])
-        del read[start:]
-        x = built.get(key)
-        if x is None:
-            x = built[key] = _node(tuple(sorted(dict.fromkeys(key), key=_SORT_KEY)))
-        read.append(x)
+            raise ParseError("expected '{'", column=_column(text, tokens, i), expected=("{",))

@@ -48,6 +48,19 @@ def cuts(order):
     return [(frozenset(c[:i]), frozenset(c[i:])) for i in range(len(c) + 1)]
 
 
+class _Cut(tuple):
+    """A cut pair (left, right) that hashes once: cuts of cuts nest, and a
+    plain tuple would rehash the whole nest on every lookup."""
+
+    def __new__(cls, left, right):
+        self = super().__new__(cls, (left, right))
+        self._hash = tuple.__hash__(self)
+        return self
+
+    def __hash__(self):
+        return self._hash
+
+
 def cut_extend(order):
     """Interleave the order with its cuts: n elements become 2n + 1.
 
@@ -58,9 +71,9 @@ def cut_extend(order):
     c = order.carrier
     out = []
     for i in range(len(c)):
-        out.append((c[:i], c[i:]))
+        out.append(_Cut(c[:i], c[i:]))
         out.append(c[i])
-    out.append((c, ()))
+    out.append(_Cut(c, ()))
     return FinOrder(out)
 
 
@@ -72,18 +85,20 @@ def simplest_dyadic_labels(iterations):
     Returns (order, labels); reading the carrier through `labels` gives
     the stage listing of the surreal construction.
     """
-    if iterations >= (hfset.MAX_ELEMENTS + 1).bit_length():  # 2**iterations - 1 > MAX_ELEMENTS
-        raise BudgetError(f"simplest_dyadic_labels would make more than {hfset.MAX_ELEMENTS} labels")
+    # 2^n - 1 labels, whose cuts hold (2^n - 1)(2^n - 2)/3 references in all
+    huge = iterations >= (hfset.MAX_ELEMENTS + 1).bit_length()  # 2^n - 1 > MAX_ELEMENTS
+    if huge or (2 ** iterations - 1) * (2 ** iterations - 2) // 3 > hfset.MAX_ELEMENTS:
+        raise BudgetError(f"simplest_dyadic_labels would make labels of more than {hfset.MAX_ELEMENTS} references")
     order = FinOrder()
     labels = {}
     for _ in range(iterations):
         order = cut_extend(order)
         for el in order.carrier:
             if el not in labels:
+                # the carrier ascends, so a cut lies between its two neighbours
                 left, right = el
-                labels[el] = surreal.simplest(
-                    [labels[x] for x in left], [labels[y] for y in right]
-                )
+                labels[el] = surreal.simplest([labels[left[-1]]] if left else [],
+                                              [labels[right[0]]] if right else [])
     return order, labels
 
 

@@ -288,6 +288,10 @@ def opow(a, b):
         return _make(((x, nat_pow(ka, n)),))
     # a^(lambda + n) = w^(ea*lambda) * a^n for the limit part lambda of b
     lead = _make(((mul(ea, _make(limit_terms)), 1),)) if limit_terms else ONE
+    # a^n has t + (n - 1)(t - 1) terms when a's t terms end in a finite one, else t
+    t = len(a._terms)
+    if a._terms[-1][0].is_zero() and t + (n - 1) * (t - 1) > MAX_TERMS:
+        raise BudgetError(f"more than {MAX_TERMS} Cantor normal form terms")
     return mul(lead, _opow_nat(a, n))
 
 

@@ -531,6 +531,42 @@ def test_parse_agrees_with_reference_reader():
         _assert_parses_like_oracle("".join(literal))
 
 
+def test_parse_agrees_with_reference_reader_on_blanks_and_digits():
+    # parse_set reads '{}' as one token internally; a '0' in the text is
+    # still a character that no literal holds
+    for n in range(8):
+        for chars in itertools.product("{} ,0", repeat=n):
+            _assert_parses_like_oracle("".join(chars))
+
+
+def test_parse_builds_each_distinct_set_once(monkeypatch):
+    calls = []
+
+    def counting_node(elems):
+        calls.append(elems)
+        return node(elems)
+
+    rng = random.Random(20)
+    v5 = vn_nat(5)
+    text = "{" + ",".join(_shuffled_literal(v5, rng) for _ in range(20)) + "}"
+    node = hfset._node
+    monkeypatch.setattr(hfset, "_node", counting_node)
+    x = parse_set(text)
+    # 1, 2, 3, 4, 5 and {5}: one call each, whatever order their elements come in
+    assert len(calls) == 6
+    assert len(set(calls)) == 6
+    assert x is singleton(v5)
+
+
+def test_parse_reads_deep_chains_with_blanks():
+    depth = 5000
+    x = _singleton_chain(depth)
+    assert parse_set("{ " * depth + "{ }" + " }" * depth) is x
+    with pytest.raises(ParseError) as exc:
+        parse_set("{ " * depth + "{ }" + " }" * (depth - 1))
+    assert exc.value.column == 4 * depth + 1  # just past the last '}'
+
+
 def test_parse_of_shuffled_literals_keeps_no_node_alive():
     rng = random.Random(9)
     v9 = vn_nat(9)

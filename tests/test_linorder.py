@@ -83,6 +83,21 @@ def test_stage_labeling_matches_listing():
         assert time.perf_counter() - start < 0.1
 
 
+def test_stage_labeling_ends_quickly_at_every_size():
+    # the cut labels of n iterations hold (2^n - 1)(2^n - 2)/3 references,
+    # more than the element budget of 10^6 from n = 11 on
+    for n in range(6, 14):
+        start = time.perf_counter()
+        if n <= 10:
+            order, labels = simplest_dyadic_labels(n)
+            assert [labels[e] for e in order.carrier] == surreal.born_by(n - 1)
+            assert time.perf_counter() - start < 1
+        else:
+            with pytest.raises(BudgetError):
+                simplest_dyadic_labels(n)
+            assert time.perf_counter() - start < 0.1
+
+
 def test_u_cmp_examples():
     assert u_cmp("0", "") < 0
     assert u_cmp("", "1") < 0
