@@ -54,13 +54,15 @@ class WitnessError(KernelError):
 
 
 class ParseError(KernelError):
-    """Syntax error, with position and the expected-token set."""
+    """Syntax error, with position and the expected-token set.  Every text
+    parsed is one line, so `line` is always 1."""
 
-    def __init__(self, message, line=1, column=0, expected=()):
-        self.line = line
+    line = 1
+
+    def __init__(self, message, column=0, expected=()):
         self.column = column
         self.expected = tuple(expected)
-        full = f"{line}:{column}: {message}"
+        full = f"{self.line}:{column}: {message}"
         if expected:
             full += " (expected " + " | ".join(sorted(self.expected)) + ")"
         super().__init__(full)

@@ -105,6 +105,8 @@ class HFSet:
         return iter(self._elems)
 
     def __contains__(self, x):
+        if not isinstance(x, HFSet):
+            return False
         elems = self._elems
         lo, hi = 0, len(elems)
         while lo < hi:
@@ -116,26 +118,30 @@ class HFSet:
         return lo < len(elems) and elems[lo] is x
 
     def __lt__(self, other):
-        return _cmp(self, other) < 0
+        return _cmp(self, other) < 0 if isinstance(other, HFSet) else NotImplemented
 
     def __le__(self, other):
-        return _cmp(self, other) <= 0
+        return _cmp(self, other) <= 0 if isinstance(other, HFSet) else NotImplemented
 
     def __gt__(self, other):
-        return _cmp(self, other) > 0
+        return _cmp(self, other) > 0 if isinstance(other, HFSet) else NotImplemented
 
     def __ge__(self, other):
-        return _cmp(self, other) >= 0
+        return _cmp(self, other) >= 0 if isinstance(other, HFSet) else NotImplemented
 
     # set algebra on the element level
     def __or__(self, other):
-        return HFSet(self._elems + other._elems)
+        return HFSet(self._elems + other._elems) if isinstance(other, HFSet) else NotImplemented
 
     # & and - filter an ascending tuple, which stays ascending
     def __and__(self, other):
+        if not isinstance(other, HFSet):
+            return NotImplemented
         return _node(tuple([e for e in self._elems if e in other]))
 
     def __sub__(self, other):
+        if not isinstance(other, HFSet):
+            return NotImplemented
         return _node(tuple([e for e in self._elems if e not in other]))
 
     def issubset(self, other):

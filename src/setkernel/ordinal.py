@@ -17,18 +17,10 @@ There is no right subtraction: a + c = b + c does not force a = b (for
 example 1 + w = 2 + w), so only the left-sided `lsub` is provided.
 """
 
-import enum
-
 from .errors import MAX_INT_BITS, BudgetError, PreconditionError, ZeroDivisorError
 
 MAX_EXPONENT_DEPTH = 64
 MAX_TERMS = 1 << 14
-
-
-class Kind(enum.Enum):
-    ZERO = "zero"
-    SUCCESSOR = "successor"
-    LIMIT = "limit"
 
 
 def _operator(fn):
@@ -172,12 +164,6 @@ def omega_pow(exp, coeff=1):
 def cmp(a, b):
     """Three-way comparison: -1, 0, or 1."""
     return _cmp(a._terms, b._terms)
-
-
-def kind(a):
-    if not a._terms:
-        return Kind.ZERO
-    return Kind.SUCCESSOR if a._terms[-1][0].is_zero() else Kind.LIMIT
 
 
 def succ(a):
@@ -328,4 +314,6 @@ def is_indecomposable(a):
 
 def cofinality_class(a):
     """The cofinality of a: 0 for zero, 1 for a successor, w for a limit."""
-    return {Kind.ZERO: ZERO, Kind.SUCCESSOR: ONE, Kind.LIMIT: OMEGA}[kind(a)]
+    if not a._terms:
+        return ZERO
+    return ONE if a._terms[-1][0].is_zero() else OMEGA

@@ -27,8 +27,15 @@ when one is a prefix of the other.  A Dyadic computes its code from
 code.  `simplest` and `options` run on codes as well; only `birthday`
 works in closed form on (num, k), so `birthday(Dyadic(2**100))` builds
 no code.
-`_mul_core` sums each option value as (xo*y - xo*yo) + x*yo, the order
-of its two Conway adds that leaves the fewest entries in the add table.
+
+An option of a code is a prefix of it, so every subproblem of a Conway
+sum or product of a and b is a pair of prefixes of a and b.  `_walk`
+lists the pairs a memo table lacks, shortest first and with no
+recursion, so a table holds every shortening of its keys and a scan from
+the longest prefixes down stops at the first key it holds.  A zero factor
+makes a product 0 at once, with no entry.  `_mul_core` sums each option
+value as (xo*y - xo*yo) + x*yo, the order of its two Conway adds that
+leaves the fewest entries in the add table.
 
 A sign word is a plain str over "+-": `to_signs` reads it off the code
 and `from_signs` builds the code from it.  `born_by` and
@@ -197,29 +204,54 @@ def _simplest(lo, hi):
 
 def _options(c):
     """The left and right option codes of code c, 0 where there is none: c
-    less its last + or - and every sign after it.  _add_core inlines both."""
+    less its last + or - and every sign after it.  Each option is a prefix
+    of c, and one of the two is c >> 1."""
     return c >> (c & -c).bit_length(), c >> ((c + 1) & ~c).bit_length()
 
 
-def _neg_core(v):
+def _neg_core(c):
     cache = _NEG_CACHE
-    hit = cache.get(v)
-    if hit is not None:
-        return hit
-    stack = [v]
-    while stack:
-        c = stack[-1]
-        if c in cache:
-            stack.pop()
-            continue
+    out = cache.get(c)
+    if out is not None:
+        return out
+    # the one-code form of _walk: the table holds c >> 1 with each key
+    # c > 1, so it lacks the longest prefixes of c; fill them shortest first
+    missing = []
+    while c and c not in cache:
+        missing.append(c)
+        c >>= 1
+    for c in reversed(missing):
         left, right = _options(c)
-        missing = [o for o in (left, right) if o and o not in cache]
-        if missing:
-            stack.extend(missing)
-            continue
-        cache[c] = _simplest(cache[right] if right else 0, cache[left] if left else 0)
-        stack.pop()
-    return cache[v]
+        cache[c] = _simplest(right and cache[right], left and cache[left])
+    return cache[missing[0]]
+
+
+def _walk(cache, a, b):
+    """Yield the (min, max) keys of the prefix pairs of codes a and b that
+    cache lacks, each after every key made of shorter prefixes.  A table so
+    filled holds the shortenings (x >> 1, y) and (x, y >> 1) of each key
+    that have no 0 code: in the row of a prefix x it lacks the y longer
+    than the first one it holds, and no more of them than for the longer x."""
+    ys = [b]  # b's prefixes, longest first, grown on demand and shared by all rows
+    rows = []
+    n = b.bit_length()  # the number of prefixes of b
+    while a:
+        row = []
+        for j in range(n):
+            if j == len(ys):
+                ys.append(ys[-1] >> 1)
+            y = ys[j]
+            key = (a, y) if a <= y else (y, a)
+            if key in cache:
+                break
+            row.append(key)
+        if not row:
+            break
+        rows.append(row)
+        n = len(row)
+        a >>= 1
+    for row in reversed(rows):
+        yield from reversed(row)
 
 
 def _add_core(a, b):
@@ -228,49 +260,21 @@ def _add_core(a, b):
     out = cache.get(root)
     if out is not None:
         return out
-    get = cache.get
-    stack = [root]
-    push = stack.append
-    while stack:
-        key = stack[-1]
-        if key in cache:
-            stack.pop()
-            continue
+    for key in _walk(cache, a, b):
         x, y = key
-        depth = len(stack)
-        # the left options x^L + y and x + y^L, the right options x^R + y and x + y^R
-        lx = x >> (x & -x).bit_length()
-        if lx:
-            k = (lx, y) if lx <= y else (y, lx)
-            lx = get(k)
-            if lx is None:
-                push(k)
-        ly = y >> (y & -y).bit_length()
-        if ly:
-            k = (x, ly) if x <= ly else (ly, x)
-            ly = get(k)
-            if ly is None:
-                push(k)
-        rx = x >> ((x + 1) & ~x).bit_length()
-        if rx:
-            k = (rx, y) if rx <= y else (y, rx)
-            rx = get(k)
-            if rx is None:
-                push(k)
-        ry = y >> ((y + 1) & ~y).bit_length()
-        if ry:
-            k = (x, ry) if x <= ry else (ry, x)
-            ry = get(k)
-            if ry is None:
-                push(k)
-        if len(stack) > depth:
-            continue
+        xl, xr = _options(x)
+        yl, yr = _options(y)
+        # the left options x^L + y and x + y^L, the right options x^R + y
+        # and x + y^R; x^L < x <= y, so (x^L, y) is a key as it stands
+        lx = xl and cache[xl, y]
+        rx = xr and cache[xr, y]
+        ly = yl and cache[(x, yl) if x <= yl else (yl, x)]
+        ry = yr and cache[(x, yr) if x <= yr else (yr, x)]
         if lx and ly and _lt(lx, ly):
             lx = ly
         if rx and ry and _lt(ry, rx):
             rx = ry
         cache[key] = _simplest(lx or ly, rx or ry)
-        stack.pop()
     return cache[root]
 
 
@@ -280,12 +284,9 @@ def _mul_core(a, b):
     out = cache.get(root)
     if out is not None:
         return out
-    stack = [root]
-    while stack:
-        key = stack[-1]
-        if key in cache:
-            stack.pop()
-            continue
+    if a == 1 or b == 1:  # a zero factor has no options: the product is 0
+        return 1
+    for key in _walk(cache, a, b):
         x, y = key
         xl, xr = _options(x)
         yl, yr = _options(y)
@@ -296,15 +297,10 @@ def _mul_core(a, b):
             [(p, q) if p <= q else (q, p) for p, q in ((xo, y), (xo, yo), (x, yo))] if xo and yo else ()
             for xo, yo in ((xl, yl), (xr, yr), (xl, yr), (xr, yl))
         ]
-        missing = [k for t in parts for k in t if k not in cache]
-        if missing:
-            stack.extend(missing)
-            continue
         v = [_add_core(_add_core(cache[t[0]], _neg_core(cache[t[1]])), cache[t[2]]) if t else 0 for t in parts]
         lo = v[1] if v[0] and v[1] and _lt(v[0], v[1]) else v[0] or v[1]
         hi = v[3] if v[2] and v[3] and _lt(v[3], v[2]) else v[2] or v[3]
         cache[key] = _simplest(lo, hi)
-        stack.pop()
     return cache[root]
 
 

@@ -1,6 +1,7 @@
 import copy
 import gc
 import itertools
+import operator
 import pickle
 import random
 import subprocess
@@ -472,6 +473,18 @@ def test_builders_refuse_non_sets():
                   lambda: kpair(3, E), lambda: triple(E, E, "x")):
         with pytest.raises(TypeError):
             build()
+
+
+def test_operators_refuse_non_sets():
+    s = vn_nat(3)
+    for other in (5, "x", None, [E], (E,), frozenset([E])):
+        assert other not in s and other not in E
+        for op in (operator.lt, operator.le, operator.gt, operator.ge, operator.or_, operator.and_, operator.sub):
+            with pytest.raises(TypeError):
+                op(s, other)
+            with pytest.raises(TypeError):
+                op(other, s)
+    assert E in s and s not in s and not E < E and E <= E and s > E and s >= s
 
 
 def test_parse_and_print():

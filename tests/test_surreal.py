@@ -11,6 +11,9 @@ from setkernel.cli import Session
 from setkernel.errors import MAX_INT_BITS, BudgetError, KernelError, PreconditionError
 from setkernel.numtower import Frac, parse_frac
 from setkernel.surreal import (
+    _ADD_CACHE,
+    _MUL_CACHE,
+    _NEG_CACHE,
     Dyadic,
     _code,
     _from_code,
@@ -348,6 +351,32 @@ def test_dyadic_code_round_trip():
 def test_conway_mul_runs_without_recursion():
     assert sys.getrecursionlimit() <= 1000 and conway_mul(D(1200), D(1)) == D(1200)
     assert conway_mul(D(1), D(-1200)) == D(-1200)
+    # a long sum fills one entry per pair of prefixes: 301 of 300 by 300
+    # of -299, which share only the code of 0
+    clear_caches()
+    assert conway_add(D(300), D(-299)) == D(1) and cache_sizes() == (301 * 300, 0, 0)
+    clear_caches()
+
+
+def test_memo_tables_hold_every_shortening_of_their_keys():
+    # the walks stop at the first key a table holds, which is sound only
+    # while each key's shortenings are keys too
+    clear_caches()
+    # a zero factor has no options and leaves no entry: an entry for 0 * 5
+    # alone would stop the walk of 1 * 5 before it filled (0, 0)
+    assert conway_mul(D(0), D(5)) == 0
+    assert conway_mul(D(1), D(5)) == D(5)
+    rng = random.Random(2121)
+    pool = born_by(6)
+    for _ in range(400):
+        x, y = rng.choice(pool), rng.choice(pool)
+        assert conway_add(x, y) == x + y and conway_mul(y, x) == x * y and conway_neg(x) == -x
+    for table in (_ADD_CACHE, _MUL_CACHE):
+        for p, q in table:
+            for s, t in ((p >> 1, q), (p, q >> 1)):
+                assert not (s and t) or (min(s, t), max(s, t)) in table
+    assert all(c == 1 or c >> 1 in _NEG_CACHE for c in _NEG_CACHE)
+    clear_caches()
 
 
 def test_huge_birthday_ends_in_budget_error():
