@@ -7,11 +7,11 @@ when they are the same node.  A node keeps its elements as a tuple in
 ascending Ackermann-code order and stores its membership rank, which is
 the rank of its largest element plus one.
 
-Codes are never materialized for comparison (they grow as iterated powers
-of two).  The order compares ranks first: the sets of rank < r are exactly
-the elements of V_r, whose codes are 0 ... |V_r| - 1, so a lower rank
-means a lower code.  Sets of equal rank compare like their element lists
-read largest-first.
+Codes are never materialized (they grow as iterated powers of two).  The
+order is `HFSet.__lt__`, which `sorted` and `bisect` use.  It compares
+ranks first: the sets of rank < r are the elements of V_r, whose codes are
+0 ... |V_r| - 1, so a lower rank means a lower code.  Sets of equal rank
+compare like their element lists read largest-first.
 
 Every node is built by `_node` from a strictly ascending element tuple.
 `HFSet(...)`, `|`, `union` and `tc` sort their input first; `parse_set`
@@ -35,33 +35,14 @@ in, is kept alive.  The table is not locked, so build sets from one
 thread at a time.
 """
 
+import bisect
 import weakref
-from functools import cmp_to_key
 from itertools import chain, product
 
 from .errors import MAX_INT_BITS, BudgetError, ParseError, PreconditionError
 
 MAX_ELEMENTS = 10 ** 6
 
-
-def _cmp(a, b):
-    # Ackermann-code order: code(x) = sum(2**code(e) for e in x), so two
-    # codes compare like their exponent sets read from the largest down.
-    # The first pair of elements that are different nodes decides, so the
-    # comparison moves down to that pair instead of recursing.
-    while a is not b:
-        if a._rank != b._rank:
-            return -1 if a._rank < b._rank else 1
-        for x, y in zip(reversed(a._elems), reversed(b._elems)):
-            if x is not y:
-                a, b = x, y
-                break
-        else:
-            return -1 if len(a._elems) < len(b._elems) else 1
-    return 0
-
-
-_SORT_KEY = cmp_to_key(_cmp)
 
 # element tuple -> weak reference to the node for that set
 _INTERN = {}
@@ -75,7 +56,7 @@ class HFSet:
     def __new__(cls, elements=()):
         elems = dict.fromkeys(elements)
         _check(elems)
-        return _node(tuple(sorted(elems, key=_SORT_KEY)))
+        return _node(tuple(sorted(elems)))
 
     def __del__(self, _intern=_INTERN):
         # On the last decref CPython runs this before it clears weak
@@ -108,26 +89,36 @@ class HFSet:
         if not isinstance(x, HFSet):
             return False
         elems = self._elems
-        lo, hi = 0, len(elems)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if _cmp(elems[mid], x) < 0:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo < len(elems) and elems[lo] is x
+        i = bisect.bisect_left(elems, x)
+        return i < len(elems) and elems[i] is x
 
     def __lt__(self, other):
-        return _cmp(self, other) < 0 if isinstance(other, HFSet) else NotImplemented
+        # Ackermann-code order: code(x) = sum(2**code(e) for e in x), so two
+        # codes compare like their exponent sets read from the largest down.
+        # The first pair of elements that are different nodes decides, so the
+        # comparison moves down to that pair instead of recursing.
+        if not isinstance(other, HFSet):
+            return NotImplemented
+        a, b = self, other
+        while a is not b:
+            if a._rank != b._rank:
+                return a._rank < b._rank
+            for x, y in zip(reversed(a._elems), reversed(b._elems)):
+                if x is not y:
+                    a, b = x, y
+                    break
+            else:
+                return len(a._elems) < len(b._elems)
+        return False
 
     def __le__(self, other):
-        return _cmp(self, other) <= 0 if isinstance(other, HFSet) else NotImplemented
+        return not other < self if isinstance(other, HFSet) else NotImplemented
 
     def __gt__(self, other):
-        return _cmp(self, other) > 0 if isinstance(other, HFSet) else NotImplemented
+        return other < self if isinstance(other, HFSet) else NotImplemented
 
     def __ge__(self, other):
-        return _cmp(self, other) >= 0 if isinstance(other, HFSet) else NotImplemented
+        return not self < other if isinstance(other, HFSet) else NotImplemented
 
     # set algebra on the element level
     def __or__(self, other):
@@ -214,14 +205,15 @@ def pair(x, y):
     if x is y:
         return singleton(x)
     _check((x, y))
-    return _node((x, y) if _cmp(x, y) < 0 else (y, x))
+    return _node((x, y) if x < y else (y, x))
 
 
 def kpair(x, y):
     """Kuratowski ordered pair {{x},{x,y}}."""
+    _check((x, y))
     # {x} is a proper subset of {x,y}, so its code is the smaller one
-    sx = singleton(x)
-    return _node((sx,) if x is y else (sx, pair(x, y)))
+    sx = _node((x,))
+    return _node((sx,) if x is y else (sx, _node((x, y) if x < y else (y, x))))
 
 
 def kpair_split(z):
@@ -270,7 +262,7 @@ def power(x):
 
 def tc(x):
     """Transitive closure: every node below x (the fixpoint of y -> y | union(y))."""
-    return HFSet(_bottom_up(x)[:-1])
+    return _node(tuple(sorted(_bottom_up(x)[:-1])))
 
 
 def vn_nat(n):
@@ -532,7 +524,7 @@ def parse_set(text):
                 key = frozenset(elems)
                 x = built.get(key)
                 if x is None:
-                    x = built[key] = _node(tuple(sorted(key, key=_SORT_KEY)))
+                    x = built[key] = _node(tuple(sorted(key)))
                 elems = outer.pop()
                 elems.append(x)
             else:

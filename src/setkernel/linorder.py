@@ -3,8 +3,9 @@ order on finite binary strings, insertion witnesses, back-and-forth
 partial isomorphisms, and a gap classifier for described cuts of Q.
 
 The universal order is the sign-expansion order of the dyadics, 1 as +
-and 0 as -: a string s is the sign code int("1" + s, 2), and its order and
-simplicity are those of `surreal`'s code routines `_lt` and `_simplest`.
+and 0 as -.  Strings compare by `_key`, a str whose native order is that
+order, and a string s is the sign code int("1" + s, 2), whose simplicity
+is that of `surreal`'s code routine `_simplest`.
 
 Finite orders have no gaps (every cut has a left maximum or a right
 minimum), so the gap extension of a FinOrder is the identity; gaps only
@@ -102,11 +103,11 @@ def simplest_dyadic_labels(iterations):
     return order, labels
 
 
-def _string_code(s):
-    """The sign code int("1" + s, 2) of a string of 0s and 1s."""
+def _binary(s):
+    """s, once it is checked to be a str of 0s and 1s."""
     if not isinstance(s, str) or s.strip("01"):
         raise PreconditionError(f"binary strings use 0 and 1, got {s!r}")
-    return int("1" + s, 2)
+    return s
 
 
 def _key(s):
@@ -120,8 +121,8 @@ def u_cmp(f, g):
     f < g when f extends g with a 0 at position |g|, or g extends f with
     a 1 at position |f|, or the first disagreement has f at 0 and g at 1.
     """
-    a, b = _string_code(f), _string_code(g)
-    return -1 if surreal._lt(a, b) else 1 if surreal._lt(b, a) else 0
+    a, b = _key(_binary(f)), _key(_binary(g))
+    return (a > b) - (a < b)
 
 
 def insert_between(a, b):
@@ -130,12 +131,13 @@ def insert_between(a, b):
 
     Minimality makes the witness unique, so no tie-breaking is needed.
     """
-    # a code's Dyadic has the code's place in the order; 0 is no bound
-    lo = max(map(_string_code, a), key=surreal._from_code, default=0)
-    hi = min(map(_string_code, b), key=surreal._from_code, default=0)
-    if lo and hi and not surreal._lt(lo, hi):
-        raise PreconditionError(f"need a < b elementwise, got {bin(lo)[3:]!r} >= {bin(hi)[3:]!r}")
-    return bin(surreal._simplest(lo, hi))[3:]
+    lo = max(map(_binary, a), key=_key, default=None)
+    hi = min(map(_binary, b), key=_key, default=None)
+    if lo is not None and hi is not None and _key(hi) <= _key(lo):
+        raise PreconditionError(f"need a < b elementwise, got {lo!r} >= {hi!r}")
+    # a string s is the sign code int("1" + s, 2); 0 is no bound
+    codes = [0 if s is None else int("1" + s, 2) for s in (lo, hi)]
+    return bin(surreal._simplest(*codes))[3:]
 
 
 def binary_strings():

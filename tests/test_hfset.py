@@ -414,8 +414,14 @@ def test_canonical_order_is_code_order():
         assert (x == y) == (ackermann_encode(x) == ackermann_encode(y))
     universe = all_sets_of_rank_at_most(3)
     for x, y in itertools.product(universe, repeat=2):
-        assert (x < y) == (ackermann_encode(x) < ackermann_encode(y))
-        assert (x == y) == (ackermann_encode(x) == ackermann_encode(y))
+        cx, cy = ackermann_encode(x), ackermann_encode(y)
+        assert (x < y) == (cx < cy)
+        assert (x == y) == (cx == cy)
+        assert (x <= y, x > y, x >= y) == (cx <= cy, cx > cy, cx >= cy)
+        assert (x in y) == bool(cy >> cx & 1)
+    shuffled = list(universe)
+    rng.shuffle(shuffled)
+    assert [ackermann_encode(x) for x in sorted(shuffled)] == list(range(16))
     # equal ranks are where the order must look past the rank
     same_rank = 0
     while same_rank < 80:
@@ -622,8 +628,16 @@ def test_deep_chains_at_default_recursion_limit():
     y = _singleton_chain(depth)
     assert (x == y) is True
     assert (x < y) is False
+    assert x <= y and x >= y and not x > y
+    assert x in singleton(x)
     assert rank_in(x) == depth
     assert _singleton_chain(depth - 1) < x
+    # equal ranks: the walk goes down depth - 2 levels to {{0}} < {0,{0}}
+    low, high = singleton(ONE), TWO
+    for _ in range(depth - 2):
+        low, high = singleton(low), singleton(high)
+    assert rank_in(low) == rank_in(high) == depth
+    assert low < high and high > low and not high <= low
     text = str(x)
     assert text == "{" * (depth + 1) + "}" * (depth + 1)
     assert parse_set(text) is x
