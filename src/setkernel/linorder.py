@@ -86,6 +86,8 @@ def simplest_dyadic_labels(iterations):
     Returns (order, labels); reading the carrier through `labels` gives
     the stage listing of the surreal construction.
     """
+    if iterations < 0:
+        raise PreconditionError("simplest_dyadic_labels needs a nonnegative count")
     # 2^n - 1 labels, whose cuts hold (2^n - 1)(2^n - 2)/3 references in all
     huge = iterations >= (hfset.MAX_ELEMENTS + 1).bit_length()  # 2^n - 1 > MAX_ELEMENTS
     if huge or (2 ** iterations - 1) * (2 ** iterations - 2) // 3 > hfset.MAX_ELEMENTS:

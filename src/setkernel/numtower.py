@@ -7,6 +7,9 @@ arithmetic computes on.  A nonnegative integer encodes as its von
 Neumann natural, a negative one as the ordered pair <0, n>, and a
 non-integer fraction m/n as the ordered pair <encode(m), n> with m, n
 coprime and n >= 2.
+
+`Frac` states its operand rule once, in `_operator`, as `ordinal` does: an
+int or Rational operand is coerced, any other gives NotImplemented.
 """
 
 import math
@@ -15,6 +18,16 @@ import sys
 
 from . import hfset
 from .errors import BudgetError, PreconditionError, ZeroDivisorError
+
+
+def _operator(fn):
+    """A binary dunder: an int or Rational operand is coerced, any other is NotImplemented."""
+
+    def method(self, other):
+        other = _coerce(other)
+        return NotImplemented if other is None else fn(self, other)
+
+    return method
 
 
 class Frac:
@@ -49,60 +62,18 @@ class Frac:
         h = h if self.num >= 0 else -h
         return -2 if h == -1 else h
 
-    def __eq__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def _cmp(self, other):
-        lhs = self.num * other.den
-        rhs = other.num * self.den
-        return (lhs > rhs) - (lhs < rhs)
-
-    def __lt__(self, other):
-        other = _coerce(other)
-        return NotImplemented if other is None else self._cmp(other) < 0
-
-    def __le__(self, other):
-        other = _coerce(other)
-        return NotImplemented if other is None else self._cmp(other) <= 0
-
-    def __gt__(self, other):
-        other = _coerce(other)
-        return NotImplemented if other is None else self._cmp(other) > 0
-
-    def __ge__(self, other):
-        other = _coerce(other)
-        return NotImplemented if other is None else self._cmp(other) >= 0
-
-    def __add__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return Frac(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
+    __eq__ = _operator(lambda a, b: a.num == b.num and a.den == b.den)
+    __lt__ = _operator(lambda a, b: a.num * b.den < b.num * a.den)
+    __le__ = _operator(lambda a, b: a.num * b.den <= b.num * a.den)
+    __gt__ = _operator(lambda a, b: a.num * b.den > b.num * a.den)
+    __ge__ = _operator(lambda a, b: a.num * b.den >= b.num * a.den)
+    __add__ = __radd__ = _operator(lambda a, b: Frac(a.num * b.den + b.num * a.den, a.den * b.den))
+    __mul__ = __rmul__ = _operator(lambda a, b: Frac(a.num * b.num, a.den * b.den))
+    __sub__ = _operator(lambda a, b: a + -b)
+    __rsub__ = _operator(lambda a, b: -a + b)
 
     def __neg__(self):
         return Frac(-self.num, self.den)
-
-    def __sub__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return -self + other
-
-    def __mul__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return Frac(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
 
     def __str__(self):
         try:

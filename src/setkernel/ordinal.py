@@ -24,7 +24,8 @@ MAX_TERMS = 1 << 14
 
 
 def _operator(fn):
-    """A binary dunder: an int operand is coerced, any other non-ordinal is NotImplemented."""
+    """A binary dunder, and the one operand rule of every CnfOrdinal operator (numtower's
+    _operator is Frac's): an int is coerced, any other non-ordinal is NotImplemented."""
 
     def method(self, other):
         other = _coerce(other)
@@ -52,8 +53,8 @@ class CnfOrdinal:
 
     @classmethod
     def from_int(cls, n):
-        if n < 0:
-            raise PreconditionError("ordinals are nonnegative")
+        if not isinstance(n, int) or n < 0:
+            raise PreconditionError(f"ordinals are natural numbers, got {n!r}")
         return _make(((ZERO, n),)) if n else ZERO
 
     def is_zero(self):
@@ -71,10 +72,7 @@ class CnfOrdinal:
     def __hash__(self):
         return self._hash
 
-    def __eq__(self, other):
-        other = _coerce(other)
-        return NotImplemented if other is None else self._terms == other._terms
-
+    __eq__ = _operator(lambda a, b: a._terms == b._terms)
     __lt__ = _operator(lambda a, b: _cmp(a._terms, b._terms) < 0)
     __le__ = _operator(lambda a, b: _cmp(a._terms, b._terms) <= 0)
     __gt__ = _operator(lambda a, b: _cmp(a._terms, b._terms) > 0)
@@ -248,8 +246,8 @@ def ord_divmod(b, a):
 
 def nat_pow(k, n):
     """k ** n for naturals; BudgetError past about MAX_INT_BITS bits (never for 0^n or 1^n)."""
-    if k < 0 or n < 0:
-        raise PreconditionError(f"nat_pow needs naturals, got {k}^{n}")
+    if not (isinstance(k, int) and isinstance(n, int)) or k < 0 or n < 0:
+        raise PreconditionError(f"nat_pow needs naturals, got {k!r}^{n!r}")
     if n * (k.bit_length() - 1) > MAX_INT_BITS:
         raise BudgetError(f"an integer power of more than {MAX_INT_BITS} bits")
     return k ** n

@@ -219,30 +219,34 @@ def _wf_edge_subsets(n):
 
 
 def _brute_min_increasing(n, edges):
+    """The least labeling into range(n) that increases along every edge.
+
+    The pointwise minimum of two increasing labelings is increasing, so a
+    least one exists, and it comes first in lexicographic order: the
+    backtracking search, trying values in ascending order, stops at the
+    first complete labeling it finds."""
     inc = [[] for _ in range(n)]
     out = [[] for _ in range(n)]
     for u, v in edges:
         out[u].append(v)
         inc[v].append(u)
-    best = [n] * n
     assign = [0] * n
 
     def rec(i):
         if i == n:
-            for v in range(n):
-                if assign[v] < best[v]:
-                    best[v] = assign[v]
-            return
+            return True
         for val in range(n):
             ok = all(assign[u] < val for u in inc[i] if u < i)
             if ok:
                 ok = all(val < assign[w] for w in out[i] if w < i)
             if ok:
                 assign[i] = val
-                rec(i + 1)
+                if rec(i + 1):
+                    return True
+        return False
 
     rec(0)
-    return best
+    return assign
 
 
 def test_criterion_7_rank_and_collapse():

@@ -81,6 +81,9 @@ def test_stage_labeling_matches_listing():
         with pytest.raises(BudgetError):
             simplest_dyadic_labels(n)
         assert time.perf_counter() - start < 0.1
+    # a negative count is refused, not read as an empty order
+    with pytest.raises(PreconditionError):
+        simplest_dyadic_labels(-1)
 
 
 def test_stage_labeling_ends_quickly_at_every_size():

@@ -1,3 +1,4 @@
+import operator
 import random
 import sys
 from fractions import Fraction
@@ -122,6 +123,38 @@ def test_frac_compares_and_hashes_like_fraction():
         assert ((a < r), (a <= r), (a > r), (a >= r), (a == r)) == ((q < r), (q <= r), (q > r), (q >= r), (q == r))
         assert ((r < a), (r <= a), (r > a), (r >= a), (r == a)) == ((r < q), (r <= q), (r > q), (r >= q), (r == q))
     assert len({Frac(1, 2), Fraction(1, 2), surreal.Dyadic(1, 1), Frac(2), 2, Fraction(4, 2)}) == 2
+
+
+def test_operand_rule_table():
+    # an int or Rational operand is read as the rational it is; any other
+    # operand is unequal, unordered and no summand or factor
+    kernel = [Frac(3, 4), Frac(-2), surreal.Dyadic(3, 2), surreal.Dyadic(-5)]
+    exact = kernel + [2, -3, Fraction(5, 6)]
+    foreign = [1.5, "x", ordinal.CnfOrdinal.from_int(2)]
+    compares = [operator.eq, operator.ne, operator.lt, operator.le, operator.gt, operator.ge]
+    arithmetic = [operator.add, operator.sub, operator.mul]
+
+    def value(x):
+        return as_fraction(x) if isinstance(x, Frac) else Fraction(x)
+
+    for a in kernel:
+        for b in exact:
+            for x, y in ((a, b), (b, a)):
+                for op in compares:
+                    assert op(x, y) == op(value(x), value(y))
+                for op in arithmetic:
+                    r = op(x, y)
+                    assert value(r) == op(value(x), value(y))
+                    both = isinstance(x, surreal.Dyadic) and isinstance(y, surreal.Dyadic)
+                    assert type(r) is (surreal.Dyadic if both else Frac)
+        for b in foreign:
+            for x, y in ((a, b), (b, a)):
+                assert (x == y) is False and (x != y) is True
+                for op in compares[2:] + arithmetic:
+                    with pytest.raises(TypeError):
+                        op(x, y)
+    assert ordinal.CnfOrdinal.from_int(2) == 2 and 2 == ordinal.CnfOrdinal.from_int(2)
+    assert ordinal.CnfOrdinal.from_int(2) != Frac(2) and Frac(2) != ordinal.CnfOrdinal.from_int(2)
 
 
 def test_q_encode_examples():

@@ -236,6 +236,9 @@ def test_invalid_terms_rejected():
         CnfOrdinal(((ZERO, 0),))
     with pytest.raises(PreconditionError):
         CnfOrdinal(((ZERO, 1), (ONE, 1)))  # increasing exponents
+    for n in (-1, 1.5, 2.0):
+        with pytest.raises(PreconditionError):
+            CnfOrdinal.from_int(n)
 
 
 def test_print_forms():
@@ -341,7 +344,7 @@ def test_nat_pow_caps_bits():
         opow(fin(3), add(W, fin(100000000)))
 
 
-@pytest.mark.parametrize("k, n", [(0, -1), (2, -1), (-2, 3)])
+@pytest.mark.parametrize("k, n", [(0, -1), (2, -1), (-2, 3), (2, 0.5), (2, 2.0), (2.0, 2)])
 def test_nat_pow_refuses_negatives(k, n):
     with pytest.raises(PreconditionError):
         ordinal.nat_pow(k, n)
