@@ -1,4 +1,28 @@
-"""Exception types shared across the kernel."""
+"""Exception types shared across the kernel, and Record, the base of its
+small value classes."""
+
+
+class Record:
+    """A value whose fields are its class's __slots__.  Two records are
+    equal, and hash alike, when their classes and field tuples are; repr
+    is Name(field=value, ...)."""
+
+    __slots__ = ()
+
+    def _fields(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash((self.__class__, self._fields()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
 class KernelError(Exception):

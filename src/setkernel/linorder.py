@@ -15,10 +15,9 @@ appear for the described, infinite cuts handled by `classify_cut`.
 import bisect
 import itertools
 import math
-from dataclasses import dataclass
 
 from . import hfset, surreal
-from .errors import BudgetError, PreconditionError, WitnessError
+from .errors import BudgetError, PreconditionError, Record, WitnessError
 from .numtower import Frac
 
 
@@ -147,19 +146,33 @@ def binary_strings():
     return (bin(c)[3:] for c in itertools.count(1))
 
 
-@dataclass(frozen=True)
-class OrderSide:
-    """One side of a back-and-forth construction.
+class _Frozen(Record):
+    """A Record built from its fields in order, none of which can be assigned after."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes fields {self.__slots__}, got {len(values)} values")
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: a {type(self).__name__} is frozen")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: a {type(self).__name__} is frozen")
+
+
+class OrderSide(_Frozen):
+    """One side of a back-and-forth construction: OrderSide(name, enum, key, between).
 
     `enum` yields the carrier in the matching order; `key` maps an element
     to a value whose native < is the side's order; `between(lo, hi)` gives
     an element strictly between the finite sets lo and hi (either may be empty).
     """
 
-    name: str
-    enum: object
-    key: object
-    between: object
+    __slots__ = ("name", "enum", "key", "between")
 
 
 def binstring_side(name="U"):
@@ -224,44 +237,39 @@ def back_and_forth(side_a, side_b, rounds):
     return {elems[0][a]: elems[1][b] for a, b in zip(*keys)}
 
 
-@dataclass(frozen=True)
-class AtRationalLeftClosed:
+class AtRationalLeftClosed(_Frozen):
     """The cut ({x <= q}, {x > q}) of Q."""
 
-    q: Frac
+    __slots__ = ("q",)
 
 
-@dataclass(frozen=True)
-class AtRationalRightClosed:
+class AtRationalRightClosed(_Frozen):
     """The cut ({x < q}, {x >= q}) of Q."""
 
-    q: Frac
+    __slots__ = ("q",)
 
 
-@dataclass(frozen=True)
-class SqrtThreshold:
+class SqrtThreshold(_Frozen):
     """The cut ({q <= 0 or q*q < n}, rest) of Q, for a positive integer n."""
 
-    n: int
+    __slots__ = ("n",)
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n):
+        if n < 1:
             raise PreconditionError("SqrtThreshold needs n >= 1")
+        super().__init__(n)
 
 
-@dataclass(frozen=True)
-class GapCut:
-    pass
+class GapCut(_Frozen):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class LeftHasMax:
-    q: Frac
+class LeftHasMax(_Frozen):
+    __slots__ = ("q",)
 
 
-@dataclass(frozen=True)
-class RightHasMin:
-    q: Frac
+class RightHasMin(_Frozen):
+    __slots__ = ("q",)
 
 
 def classify_cut(spec):

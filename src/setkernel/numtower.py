@@ -40,12 +40,9 @@ class Frac:
             raise ZeroDivisorError("zero denominator")
         if den < 0:
             num, den = -num, -den
-        g = math.gcd(abs(num), den)
-        if g > 1:
-            num //= g
-            den //= g
-        self.num = num
-        self.den = den
+        g = math.gcd(num, den)
+        self.num = num // g  # an int even when num or den is a bool
+        self.den = den // g
 
     def is_integer(self):
         return self.den == 1

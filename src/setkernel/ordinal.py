@@ -55,7 +55,7 @@ class CnfOrdinal:
     def from_int(cls, n):
         if not isinstance(n, int) or n < 0:
             raise PreconditionError(f"ordinals are natural numbers, got {n!r}")
-        return _make(((ZERO, n),)) if n else ZERO
+        return _make(((ZERO, int(n)),)) if n else ZERO  # int: a bool prints as its value
 
     def is_zero(self):
         return not self._terms

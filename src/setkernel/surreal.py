@@ -71,7 +71,7 @@ class Dyadic(Frac):
         if k > MAX_INT_BITS:
             raise BudgetError(f"a denominator 2^k with k above {MAX_INT_BITS}")
         self.den = 1 << k
-        self.num = num
+        self.num = int(num)  # a bool prints as its value
         self.k = k
         self._code = None
 

@@ -16,8 +16,8 @@ character U+2295.  A NAT is a run of decimal digits of any script; an
 identifier starts with a letter or '_'.  Brackets, command arguments
 and '^' chains may nest at most MAX_NESTING deep.  An operator chain is
 one flat Chain node folded from the left, however long it is.  AST
-nodes are slots dataclasses, equal and hashed by value; nothing assigns
-to a built node.
+nodes are errors.Record values, equal and hashed by class and fields;
+nothing assigns to a built node.
 
 The CLI hands a text of braces, commas and whitespace alone to
 hfset.parse_set, which has no depth limit.  From the CLI, parse sees
@@ -27,53 +27,65 @@ them.
 """
 
 import re
-from dataclasses import dataclass
 
-from .errors import ParseError
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class Nat:
-    value: int
+from .errors import ParseError, Record
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class Rat:
-    num: int
-    den: int
+class Nat(Record):
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = value
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class WSym:
-    pass
+class Rat(Record):
+    __slots__ = ("num", "den")
+
+    def __init__(self, num, den):
+        self.num = num
+        self.den = den
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class SetLit:
-    items: tuple
+class WSym(Record):
+    __slots__ = ()
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class Chain:
-    first: object  # never a Chain
-    rest: tuple  # (op, right operand) pairs, folded from the left
+class SetLit(Record):
+    __slots__ = ("items",)
+
+    def __init__(self, items):
+        self.items = items
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class Call:
-    name: str
-    args: tuple
+class Chain(Record):
+    __slots__ = ("first", "rest")
+
+    def __init__(self, first, rest):
+        self.first = first  # never a Chain
+        self.rest = rest  # (op, right operand) pairs, folded from the left
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class Var:
-    name: str
+class Call(Record):
+    __slots__ = ("name", "args")
+
+    def __init__(self, name, args):
+        self.name = name
+        self.args = args
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class Let:
-    name: str
-    expr: object
+class Var(Record):
+    __slots__ = ("name",)
+
+    def __init__(self, name):
+        self.name = name
+
+
+class Let(Record):
+    __slots__ = ("name", "expr")
+
+    def __init__(self, name, expr):
+        self.name = name
+        self.expr = expr
 
 
 # One token per match: a natural (exactly the digits int() reads), an

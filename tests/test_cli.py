@@ -1,8 +1,10 @@
 import io
 import json
 import random
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -194,6 +196,8 @@ def test_chain_is_equal_and_hashed_by_value():
     for other in ("1 + (2*3^4 + (w (+) {5}))", "1 + 2*3^4 + (w + {5})", "2 + 2*3^4 + (w (+) {5})", "1 + 2*3^4"):
         assert ast != parse(other)
     assert parse("1 + 1") != Nat(2)
+    assert Nat(1) != Rat(1, 1) and Nat(1) != 1 and Nat(1) != Var(1)
+    assert hash(parse("{1, x}")) == hash(SetLit((Nat(1), Var("x")))) == hash(parse("{1,x}"))
     # a bracketed prefix joins the chain, but only a '^' right operand nests
     assert parse("(2^3)^4") == Chain(Nat(2), (("^", Nat(3)), ("^", Nat(4))))
     assert parse("(2^3)^4") != parse("2^3^4")
@@ -528,3 +532,16 @@ def test_main_batch(tmp_path, capsys):
     src.write_text("w*2\n")
     assert cli.main(["--batch", str(src)]) == 0
     assert capsys.readouterr().out == "w*2\tw*2\n"
+
+
+def test_import_skips_dataclasses_and_inspect():
+    # start-up cost: importing the CLI pulls in neither module, nor the
+    # ast, dis and tokenize modules that inspect imports; -B keeps the
+    # run from writing __pycache__ into src/
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); import setkernel.cli; print(*sys.modules, sep='\\n')"
+    out = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", code], capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    loaded = set(out.stdout.split())
+    assert "setkernel.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"}

@@ -240,8 +240,16 @@ def test_classify_cut_examples():
     half = Frac(1, 2)
     assert classify_cut(AtRationalLeftClosed(half)) == LeftHasMax(half)
     assert classify_cut(AtRationalRightClosed(half)) == RightHasMin(half)
+    assert LeftHasMax(half) != RightHasMin(half) and AtRationalLeftClosed(half) != LeftHasMax(half)
+    assert hash(LeftHasMax(Frac(2, 4))) == hash(LeftHasMax(half))
     with pytest.raises(PreconditionError):
         SqrtThreshold(0)
+    for value, field in ((LeftHasMax(half), "q"), (SqrtThreshold(2), "n"), (binstring_side(), "key")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+    assert LeftHasMax(half).q == half and SqrtThreshold(2).n == 2
 
 
 def test_classify_cut_against_isqrt_oracle():

@@ -129,7 +129,7 @@ def test_operand_rule_table():
     # an int or Rational operand is read as the rational it is; any other
     # operand is unequal, unordered and no summand or factor
     kernel = [Frac(3, 4), Frac(-2), surreal.Dyadic(3, 2), surreal.Dyadic(-5)]
-    exact = kernel + [2, -3, Fraction(5, 6)]
+    exact = kernel + [2, -3, True, Fraction(5, 6)]
     foreign = [1.5, "x", ordinal.CnfOrdinal.from_int(2)]
     compares = [operator.eq, operator.ne, operator.lt, operator.le, operator.gt, operator.ge]
     arithmetic = [operator.add, operator.sub, operator.mul]
@@ -154,6 +154,11 @@ def test_operand_rule_table():
                     with pytest.raises(TypeError):
                         op(x, y)
     assert ordinal.CnfOrdinal.from_int(2) == 2 and 2 == ordinal.CnfOrdinal.from_int(2)
+    # a bool is read as the int it is, and prints as one
+    for x, shown in ((Frac(True), "1"), (Frac(True, 2), "1/2"), (Frac(3, True), "3"), (Frac(1, 2) + True, "3/2"),
+                     (True * Frac(1, 2), "1/2"), (Frac(False, 3), "0"), (surreal.Dyadic(True), "1"),
+                     (surreal.Dyadic(True, 1), "1/2"), (surreal.Dyadic(False, 3), "0")):
+        assert str(x) == shown and type(x.num) is int and type(x.den) is int
     assert ordinal.CnfOrdinal.from_int(2) != Frac(2) and Frac(2) != ordinal.CnfOrdinal.from_int(2)
 
 

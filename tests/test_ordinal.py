@@ -239,6 +239,10 @@ def test_invalid_terms_rejected():
     for n in (-1, 1.5, 2.0):
         with pytest.raises(PreconditionError):
             CnfOrdinal.from_int(n)
+    # a bool is read as the int it is, and prints as one
+    for one in (CnfOrdinal.from_int(True), ZERO + True, True + ZERO):
+        assert str(one) == "1" and one == ONE
+    assert CnfOrdinal.from_int(False) is ZERO
 
 
 def test_print_forms():
