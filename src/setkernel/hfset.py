@@ -28,6 +28,11 @@ place follows from its elements' places, see `_pairs`).  `goedel_ext`
 runs its five unary operations once per element and builds each pair of
 its products once per step.
 
+`ackermann_decode` reads a code's bytes once and skips its zero bytes in
+C, so its time is linear in the code's length plus its element count.  A
+code below 2^16 names only sets of rank < 4, and it decodes by one
+concatenation of two table entries and one `_node` lookup.
+
 The intern table maps element tuples to weak references and never keeps a
 node alive; a node removes its own entry when it dies.  Only `_V4`, the
 16 sets of rank < 4 (the empty set among them) that decoding bottoms out
@@ -36,6 +41,7 @@ thread at a time.
 """
 
 import bisect
+import re
 import weakref
 from itertools import chain, product
 
@@ -171,11 +177,22 @@ def _node(elems):
 
 # V_4, the 16 sets of rank < 4, indexed by code: the bits of a code read
 # upwards name its elements' codes in ascending order.  Every decode ends
-# in this table, which keeps its 16 nodes alive.
+# in the tables below, which hold these 16 nodes and keep them alive.
 _V4 = ()
 for _code in range(16):
     _V4 += (_node(tuple(_V4[k] for k in range(4) if _code >> k & 1)),)
 _EMPTY = _V4[0]
+
+# For each byte value b: _BITS[b] holds its set bits ascending, and _LOW[b]
+# and _HIGH[b] the nodes of V_4 it names as a code's low and high byte.
+# Each table doubles once per bit, as the subsets in `power` do.
+_BITS, _LOW, _HIGH = ((),), ((),), ((),)
+for _k in range(8):
+    _BITS += tuple(s + (_k,) for s in _BITS)
+    _LOW += tuple(s + (_V4[_k],) for s in _LOW)
+    _HIGH += tuple(s + (_V4[8 + _k],) for s in _HIGH)
+# the bytes of a code that are not zero, found without a Python loop
+_NONZERO = re.compile(rb"[^\x00]").finditer
 
 
 def _bottom_up(x):
@@ -472,25 +489,33 @@ def ackermann_encode(x):
 
 
 def ackermann_decode(n):
+    """The set with code n: its elements are the codes of n's set bits.
+
+    Time is linear in n's length plus its element count.  A code of more
+    than MAX_ELEMENTS set bits is refused before any node is built."""
+    if not isinstance(n, int):
+        raise PreconditionError(f"a code is an int, got {type(n).__name__}")
     if n < 0:
         raise PreconditionError("codes are nonnegative")
-    memo = {}
+    if n.bit_count() > MAX_ELEMENTS:
+        raise BudgetError(f"the code names {n.bit_count()} elements (budget {MAX_ELEMENTS})")
+    return _decode(n)
 
-    def rec(m):
-        s = memo.get(m)
-        if s is None:
-            elems = []
-            rest = m
-            while rest:
-                # set bits read upwards give the element codes ascending
-                low = rest & -rest
-                k = low.bit_length() - 1
-                elems.append(_V4[k] if k < 16 else rec(k))
-                rest ^= low
-            s = memo[m] = _node(tuple(elems))
-        return s
 
-    return _V4[n] if n < 16 else rec(n)
+def _decode(m):
+    # Bytes 0 and 1 of m name elements of V_4, read from the two tables; each
+    # higher set bit k, found by the byte scan in C, names the set _decode(k).
+    # k is below m's bit length, so the recursion is at most three calls deep
+    # for any code that fits in memory, and it needs no memo: a repeated
+    # element below 2^16 costs one node lookup, as a memo lookup would.
+    if m < 65536:
+        return _node(_LOW[m & 255] + _HIGH[m >> 8])
+    data = m.to_bytes((m.bit_length() + 7) >> 3, "little")
+    elems = list(_LOW[data[0]] + _HIGH[data[1]])
+    for hit in _NONZERO(data, 2):
+        i = hit.start()
+        elems += [_decode(8 * i + k) for k in _BITS[data[i]]]
+    return _node(tuple(elems))
 
 
 def _column(text, tokens, i):

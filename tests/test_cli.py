@@ -389,6 +389,24 @@ def test_collapse_missing_file(tmp_path):
         Session().run_line(f":collapse {tmp_path / 'missing.txt'}")
 
 
+def test_file_commands_read_bytes(tmp_path):
+    # files are read as bytes and decoded as UTF-8: CRLF line ends still
+    # read, and a file that is not UTF-8 is an EvalError
+    graph = tmp_path / "g.txt"
+    graph.write_bytes(b"p q\r\nq r\r\np r # an edge\r\n")
+    result = Session().run_line(f":collapse {graph}")
+    assert result["extensional"] is True
+    assert (result["p"], result["q"], result["r"]) == (hfset.vn_nat(0), hfset.vn_nat(1), hfset.vn_nat(2))
+    maps = tmp_path / "m.json"
+    maps.write_bytes(b'{"f": {"0": "a"},\r\n "g": {"a": "0"}}\r\n')
+    assert Session().run_line(f":cbs {maps}") == {"0": "a"}
+    for path in (graph, maps):
+        path.write_bytes(b"p \xff\n")
+    for cmd in (f":collapse {graph}", f":cbs {maps}"):
+        with pytest.raises(EvalError, match="cannot read"):
+            Session().run_line(cmd)
+
+
 @pytest.mark.parametrize(
     "content",
     [None, '{"f": {"0": "a"}', '{"g": {}}', "[1, 2]", '{"f": 1, "g": {}}', '{"f": {"0": [1]}, "g": {}}', "[" * 100000],

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -474,6 +475,59 @@ def test_sort_free_builders_keep_the_canonical_order():
         assert code_oracle(ackermann_decode(c), memo) == c
 
 
+def test_ackermann_decode_refuses_bad_input_up_front():
+    for bad in (1.5, "3", None, Fraction(1), -1, -(1 << 70)):
+        with pytest.raises(PreconditionError):
+            ackermann_decode(bad)
+    assert ackermann_decode(True) is singleton(E)
+    budget = hfset.MAX_ELEMENTS
+    # one set bit past the element budget, dense and spread out
+    for code in ((1 << (budget + 1)) - 1, int.from_bytes(b"\x01" * (budget + 1), "little")):
+        start = time.perf_counter()
+        with pytest.raises(BudgetError):
+            ackermann_decode(code)
+        assert time.perf_counter() - start < 1
+
+
+def test_ackermann_decode_byte_seams():
+    # the decoder reads a code by bytes, its low two bytes from tables;
+    # check the seams between bytes against the definition of the code
+    memo = {}
+    codes = [(1 << 16) - 1, 1 << 16, (1 << 16) + 1]
+    for k in range(1, 513):  # bits at 8k - 1 and 8k, up to 4096 bits
+        codes += [1 << (8 * k - 1), 1 << (8 * k), 3 << (8 * k - 1), (1 << (8 * k)) | 0xFFFF]
+    for k in (1, 2, 3, 4, 9, 64, 512):
+        codes += [(1 << (8 * k)) - 1, (1 << (8 * k + 1)) - 1]
+    rng = random.Random(71)
+    for bits in rng.sample(range(17, 4097), 120):
+        top = 1 << (bits - 1)
+        codes.append(top | rng.getrandbits(bits - 1))  # dense
+        codes.append(top | sum(1 << b for b in rng.sample(range(bits - 1), rng.randrange(1, 6))))  # sparse
+    for c in codes:
+        assert code_oracle(ackermann_decode(c), memo) == c
+
+
+def test_ackermann_decode_is_linear():
+    # a dense random code of 2^19 bits: the gate sits between a linear
+    # decode (about 2 s) and one that rescans the code per set bit (about 12 s)
+    code = random.Random(19).getrandbits(1 << 19) | 1 << ((1 << 19) - 1)
+    start = time.perf_counter()
+    x = ackermann_decode(code)
+    assert time.perf_counter() - start < 8
+    assert len(x) == code.bit_count()
+    bits = [k for k, digit in enumerate(format(code, "b")[::-1]) if digit == "1"]
+    memo = {}
+    for i in random.Random(5).sample(range(len(x)), 200) + [0, len(x) - 1]:
+        assert code_oracle(x.elements[i], memo) == bits[i]
+    del x
+    # a sparse code of 2^27 bits: its zero bytes are skipped in C
+    code = 1 << (1 << 27) | 1 << 100 | 1
+    start = time.perf_counter()
+    x = ackermann_decode(code)
+    assert time.perf_counter() - start < 2
+    assert [code_oracle(e, memo) for e in x] == [0, 100, 1 << 27]
+
+
 def test_builders_refuse_non_sets():
     for build in (lambda: HFSet([E, 3]), lambda: singleton(3), lambda: pair(E, 3), lambda: pair(3, 3),
                   lambda: kpair(3, E), lambda: triple(E, E, "x")):
@@ -704,7 +758,9 @@ def test_interpreter_exit_is_silent():
         "cycle = [hfset.vn_nat(12)]\n"
         "cycle.append(cycle)\n"
     )
-    out = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": src}, capture_output=True, text=True,
-                         timeout=60)
+    # -B: the env drops PYTHONDONTWRITEBYTECODE, and bytecode left in src/
+    # would change the start-up that the benchmark measures
+    out = subprocess.run([sys.executable, "-B", "-c", code], env={"PYTHONPATH": src}, capture_output=True,
+                         text=True, timeout=60)
     assert out.returncode == 0
     assert out.stdout == out.stderr == ""
